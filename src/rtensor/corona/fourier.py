@@ -1,21 +1,18 @@
 """2D discrete Fourier transforms for the image-correction demo.
 
 ``dft_operator`` builds the explicit transform matrix used as an independent
-reference; ``fft2``/``ifft2`` compute the same transform in O(MN log MN) with
-an iterative radix-2 kernel for power-of-two lengths and Bluestein's
-chirp-z algorithm for every other length, so arbitrary image formats (401 is
-prime) stay fast.  Both operate pagewise over trailing dimensions.
+reference; ``fft2``/``ifft2`` compute the same transform with ``numpy.fft``
+(O(MN log MN) for every length, including primes such as 401).  Both operate
+pagewise over trailing dimensions and return complex128 for every input kind.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["dft_operator", "fft2", "ifft2"]
+from ..errors import DimMismatchError
 
-_bitrev_cache: dict[int, np.ndarray] = {}
-_twiddle_cache: dict[int, np.ndarray] = {}
-_bluestein_cache: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
+__all__ = ["dft_operator", "fft2", "ifft2"]
 
 
 def dft_operator(m: int) -> np.ndarray:
@@ -25,86 +22,14 @@ def dft_operator(m: int) -> np.ndarray:
     return np.exp(-2j * np.pi * kk / m)
 
 
-def _bitrev(n: int) -> np.ndarray:
-    perm = _bitrev_cache.get(n)
-    if perm is None:
-        bits = n.bit_length() - 1
-        perm = np.zeros(n, dtype=np.intp)
-        for i in range(n):
-            r = 0
-            x = i
-            for _ in range(bits):
-                r = (r << 1) | (x & 1)
-                x >>= 1
-            perm[i] = r
-        _bitrev_cache[n] = perm
-    return perm
-
-
-def _twiddle(step: int) -> np.ndarray:
-    w = _twiddle_cache.get(step)
-    if w is None:
-        half = step // 2
-        w = np.exp(-2j * np.pi * np.arange(half) / step)
-        _twiddle_cache[step] = w
-    return w
-
-
-def _fft_pow2(a: np.ndarray) -> np.ndarray:
-    """Radix-2 Cooley-Tukey along the last axis; length must be a power of two."""
-    n = a.shape[-1]
-    out = a[..., _bitrev(n)]
-    half = 1
-    while half < n:
-        step = 2 * half
-        w = _twiddle(step)
-        grouped = out.reshape(out.shape[:-1] + (n // step, step))
-        even = grouped[..., :half]
-        odd = grouped[..., half:] * w
-        out = np.concatenate([even + odd, even - odd], axis=-1).reshape(a.shape)
-        half = step
-    return out
-
-
-def _bluestein_setup(n: int):
-    cached = _bluestein_cache.get(n)
-    if cached is None:
-        size = 1
-        while size < 2 * n - 1:
-            size *= 2
-        k = np.arange(n)
-        chirp = np.exp(-1j * np.pi * (k * k % (2 * n)) / n)
-        kernel = np.zeros(size, dtype=np.complex128)
-        kernel[:n] = np.conj(chirp)
-        kernel[size - n + 1:] = np.conj(chirp[1:][::-1])
-        cached = (chirp, _fft_pow2(kernel), size)
-        _bluestein_cache[n] = cached
-    return cached
-
-
-def _fft_any(a: np.ndarray) -> np.ndarray:
-    n = a.shape[-1]
-    if n == 1:
-        return a.copy()
-    if n & (n - 1) == 0:
-        return _fft_pow2(a)
-    chirp, kernel_f, size = _bluestein_setup(n)
-    buf = np.zeros(a.shape[:-1] + (size,), dtype=np.complex128)
-    buf[..., :n] = a * chirp
-    conv = _ifft_pow2(_fft_pow2(buf) * kernel_f)
-    return conv[..., :n] * chirp
-
-
-def _ifft_pow2(a: np.ndarray) -> np.ndarray:
-    return np.conj(_fft_pow2(np.conj(a))) / a.shape[-1]
-
-
-def _along_axis(fn, x: np.ndarray, axis: int) -> np.ndarray:
-    x = np.asarray(x, dtype=np.complex128)
-    moved = np.moveaxis(x, axis, -1)
-    shape = moved.shape
-    out = fn(moved.reshape(-1, shape[-1])).reshape(shape)
-    return np.moveaxis(out, -1, axis)
+def _planes(x) -> np.ndarray:
+    """``x`` in double precision, checked to have two nonempty leading axes."""
+    x = np.asarray(x)
+    if x.ndim < 2 or x.shape[0] == 0 or x.shape[1] == 0:
+        raise DimMismatchError(
+            f"2D transform needs two nonempty leading dimensions, got shape {x.shape}"
+        )
+    return x.astype(np.result_type(x.dtype, np.float64), copy=False)
 
 
 def fft2(x: np.ndarray) -> np.ndarray:
@@ -112,11 +37,9 @@ def fft2(x: np.ndarray) -> np.ndarray:
 
     Agrees with ``U @ X @ V.T`` built from :func:`dft_operator`.
     """
-    return _along_axis(_fft_any, _along_axis(_fft_any, x, 0), 1)
+    return np.fft.fft2(_planes(x), axes=(0, 1))
 
 
 def ifft2(y: np.ndarray) -> np.ndarray:
     """Inverse 2D DFT over the first two dimensions, pagewise over the rest."""
-    y = np.asarray(y, dtype=np.complex128)
-    out = np.conj(fft2(np.conj(y)))
-    return out / (y.shape[0] * y.shape[1])
+    return np.fft.ifft2(_planes(y), axes=(0, 1))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DimMismatchError
+from ..errors import DimMismatchError, SpecError
 from .fourier import fft2, ifft2
 
 __all__ = ["AllocationLedger", "AberrationState", "sse", "hess_mult", "state_at", "hess_mult_cached"]
@@ -64,6 +64,13 @@ def _check_planes(phi, xa, wb):
         )
     if wb.dtype != np.bool_:
         raise DimMismatchError("occultation mask must be boolean")
+    _check_finite(phase=phi, image=xa)
+
+
+def _check_finite(**arrays):
+    for name, a in arrays.items():
+        if not np.isfinite(a).all():
+            raise SpecError(f"{name} has non-finite entries")
 
 
 def sse(phi, xa, wb, want_gradient=False, ledger=None):
@@ -141,6 +148,7 @@ def hess_mult(xt, dphi, wb, ledger=None):
         raise DimMismatchError(
             f"shapes disagree: image {xt.shape}, steps {dphi.shape}, mask {wb.shape}"
         )
+    _check_finite(image=xt, steps=dphi)
     with led.scope():
         yt = fft2(xt)
         w = wb | (~wb & (xt < 0))

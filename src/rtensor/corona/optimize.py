@@ -2,9 +2,11 @@
 
 The inner subproblem is solved by Steihaug's truncated conjugate gradient,
 with Hessian-vector products supplied by the Hessian-multiply function at the
-current iterate, so no Hessian is ever formed.  Accepted steps strictly
-decrease the SSE; the trajectory of accepted values is therefore
-nonincreasing.
+current iterate, so no Hessian is ever formed.  CG also carries the Hessian
+applied to its step, so the predicted reduction costs no extra multiply.
+Accepted steps strictly decrease the SSE; the trajectory of accepted values is
+therefore nonincreasing.  A non-finite reduction ratio shrinks the radius like
+a poor one, so the solver cannot repeat a rejected step forever.
 """
 
 from __future__ import annotations
@@ -55,39 +57,45 @@ class OptReport:
 def _steihaug(grad, hv, radius, tol, max_iter):
     """Truncated CG on the quadratic model inside the trust region.
 
-    Returns ``(step, hit_boundary, iterations)``.
+    Returns ``(step, h_step, hit_boundary, iterations)``, where ``h_step`` is
+    the Hessian applied to ``step``, accumulated from the products CG already
+    makes.
     """
     z = np.zeros_like(grad)
+    hz = np.zeros_like(grad)
     r = grad.copy()
     d = -r
     rr = float(r.ravel() @ r.ravel())
     if np.sqrt(rr) <= tol:
-        return z, False, 0
+        return z, hz, False, 0
     for k in range(1, max_iter + 1):
         hd = hv(d)
         dhd = float(d.ravel() @ hd.ravel())
         if dhd <= 0:
-            return _to_boundary(z, d, radius), True, k
+            tau = _to_boundary(z, d, radius)
+            return z + tau * d, hz + tau * hd, True, k
         alpha = rr / dhd
         z_next = z + alpha * d
         if np.linalg.norm(z_next) >= radius:
-            return _to_boundary(z, d, radius), True, k
+            tau = _to_boundary(z, d, radius)
+            return z + tau * d, hz + tau * hd, True, k
+        hz += alpha * hd
         r = r + alpha * hd
         rr_next = float(r.ravel() @ r.ravel())
         if np.sqrt(rr_next) <= tol:
-            return z_next, False, k
+            return z_next, hz, False, k
         d = -r + (rr_next / rr) * d
         z = z_next
         rr = rr_next
-    return z, False, max_iter
+    return z, hz, False, max_iter
 
 
 def _to_boundary(z, d, radius):
+    """The ``tau >= 0`` with ``|z + tau*d| = radius``."""
     dd = float(d.ravel() @ d.ravel())
     zd = float(z.ravel() @ d.ravel())
     zz = float(z.ravel() @ z.ravel())
-    tau = (-zd + np.sqrt(zd * zd + dd * (radius * radius - zz))) / dd
-    return z + tau * d
+    return (-zd + np.sqrt(zd * zd + dd * (radius * radius - zz))) / dd
 
 
 def optimize(xa, wb, options: TrustRegionOptions | None = None) -> OptReport:
@@ -122,21 +130,20 @@ def optimize(xa, wb, options: TrustRegionOptions | None = None) -> OptReport:
         g = state.grad
         gn2 = float(np.linalg.norm(g))
         tol = opts.cg_tol if opts.cg_tol is not None else min(opts.cg_forcing, np.sqrt(gn2)) * gn2
-        step, boundary, k = _steihaug(g, hv, radius, tol, opts.cg_max_iter)
+        step, hs, boundary, k = _steihaug(g, hv, radius, tol, opts.cg_max_iter)
         cg_iters.append(k)
         if not np.any(step):
             stop = "no_step"
             break
-        hs = hv(step)
         pred = -(float(g.ravel() @ step.ravel()) + 0.5 * float(step.ravel() @ hs.ravel()))
         trial = state_at(phi + step, xa, wb, ledger=ledger)
         actual = state.e - trial.e
         rho = actual / pred if pred > 0 else -np.inf
 
-        if rho > opts.rho_expand and boundary:
-            radius *= opts.expand
-        elif rho < opts.rho_shrink:
+        if not np.isfinite(rho) or rho < opts.rho_shrink:
             radius *= opts.shrink
+        elif rho > opts.rho_expand and boundary:
+            radius *= opts.expand
         accepted = rho > opts.rho_accept and trial.e < state.e
         if accepted:
             phi = phi + step

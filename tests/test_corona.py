@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from rtensor.corona import (
     hess_mult_cached,
 )
 from rtensor.errors import DimMismatchError, SpecError
+from rtensor.corona.optimize import _steihaug
 from rtensor.corona.scene import PlanetSpec
 
 from oracles import azimuthal_profile, count_local_minima
@@ -214,8 +217,9 @@ def test_hess_mult_cached_matches_direct():
     state = state_at(phi, xa, wb)
     rng = np.random.default_rng(12)
     dphi = rng.standard_normal((8, 8, 2))
+    desired = hess_mult(state.xt, dphi, wb)
     np.testing.assert_allclose(
-        hess_mult_cached(state, dphi), hess_mult(state.xt, dphi, wb), rtol=1e-13
+        hess_mult_cached(state, dphi), desired, rtol=1e-13, atol=1e-13 * np.abs(desired).max()
     )
 
 
@@ -245,3 +249,111 @@ def test_optimize_reduces_sse_on_small_instance():
     assert traj[-1] < 0.05 * traj[0]
     assert all(traj[k + 1] <= traj[k] for k in range(len(traj) - 1))
     assert report.peak_bytes > 0
+
+
+def test_optimize_shrinks_radius_on_nan_ratio(monkeypatch):
+    inst = make_instance(SceneConfig(size=32, seed=9))
+    # The package re-exports optimize() under the module's name, so look the module up.
+    optimize_module = sys.modules[_steihaug.__module__]
+    real_state_at = optimize_module.state_at
+    calls = []
+
+    def nan_trials(phi, xa, wb, ledger=None):
+        state = real_state_at(phi, xa, wb, ledger=ledger)
+        if calls:
+            state.e = float("nan")  # every trial point evaluates to NaN
+        calls.append(1)
+        return state
+
+    monkeypatch.setattr(optimize_module, "state_at", nan_trials)
+    report = optimize(inst.aberrated, inst.mask, TrustRegionOptions(max_iter=200))
+    assert report.stop_reason == "radius_collapse"
+    assert report.iterations < 40
+    assert len(report.sse_trajectory) == 1  # no NaN step was accepted
+    assert all(b < a for a, b in zip(report.radii, report.radii[1:]))
+
+
+# -- non-finite inputs -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_model_rejects_non_finite_planes(bad):
+    xa, wb, phi = small_instance()
+    bad_xa = xa.copy()
+    bad_xa[2, 3] = bad
+    bad_phi = phi.copy()
+    bad_phi[4, 1] = bad
+    for fn in (sse, state_at):
+        with pytest.raises(SpecError):
+            fn(phi, bad_xa, wb)
+        with pytest.raises(SpecError):
+            fn(bad_phi, xa, wb)
+    dphi = np.ones((8, 8, 2))
+    with pytest.raises(SpecError):
+        hess_mult(bad_xa, dphi, wb)
+    dphi[5, 5, 1] = bad
+    with pytest.raises(SpecError):
+        hess_mult(xa, dphi, wb)
+
+
+def test_optimize_rejects_nan_pixel():
+    inst = make_instance(SceneConfig(size=32, seed=9))
+    xa = inst.aberrated.copy()
+    xa[7, 7] = np.nan
+    with pytest.raises(SpecError):
+        optimize(xa, inst.mask, TrustRegionOptions(max_iter=5))
+
+
+# -- Steihaug CG ------------------------------------------------------------------------
+
+
+def _spd(n, seed, shift):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    return a @ a.T + shift * np.eye(n)
+
+
+def _run_steihaug(h, g, radius, tol=1e-12):
+    """Steihaug on ``h``, also returning the curvature ``d.Hd`` of each CG direction."""
+    curvatures = []
+
+    def hv(d):
+        hd = h @ d
+        curvatures.append(float(d @ hd))
+        return hd
+
+    step, h_step, boundary, k = _steihaug(g, hv, radius, tol, 100)
+    want = h @ step
+    assert np.abs(h_step - want).max() <= 1e-10 * np.abs(want).max()
+    return step, boundary, k, curvatures
+
+
+def test_steihaug_h_step_interior_convergence():
+    h = _spd(12, 0, 12.0)
+    g = np.random.default_rng(1).standard_normal(12)
+    step, boundary, k, _ = _run_steihaug(h, g, 1e6)
+    assert not boundary and 1 < k < 100
+    np.testing.assert_allclose(h @ step, -g, atol=1e-10)
+
+
+def test_steihaug_h_step_on_trust_boundary():
+    h = _spd(12, 2, 0.1)
+    g = np.random.default_rng(3).standard_normal(12)
+    step, boundary, k, curvatures = _run_steihaug(h, g, 0.05)
+    assert boundary and min(curvatures) > 0
+    assert abs(np.linalg.norm(step) - 0.05) <= 1e-12
+
+
+def test_steihaug_h_step_on_negative_curvature():
+    h = np.diag([2.0, 1.0, -3.0])
+    g = np.array([1.0, -1.0, 0.5])
+    step, boundary, k, curvatures = _run_steihaug(h, g, 10.0)
+    assert boundary and k == 2 and curvatures[-1] < 0
+    assert abs(np.linalg.norm(step) - 10.0) <= 1e-10
+
+
+def test_steihaug_zero_step_when_gradient_small():
+    g = np.full(4, 1e-9)
+    step, h_step, boundary, k = _steihaug(g, lambda d: d, 1.0, 1e-6, 100)
+    assert k == 0 and not boundary
+    assert not np.any(step) and not np.any(h_step)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rtensor.corona import dft_operator, fft2, ifft2
+from rtensor.errors import DimMismatchError
 
 
 def test_operator_m2_exact():
@@ -70,3 +71,31 @@ def test_matches_numpy_fft():
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         ref = np.fft.fft2(x)
         assert np.abs(fft2(x) - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("shape", [(), (8,), (0, 8), (8, 0), (0, 0, 3), (8, 0, 2)])
+def test_transforms_reject_empty_or_1d_planes(shape):
+    x = np.zeros(shape)
+    with pytest.raises(DimMismatchError):
+        fft2(x)
+    with pytest.raises(DimMismatchError):
+        ifft2(x)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int32, np.int64, np.bool_, np.complex64])
+def test_transforms_return_complex128_for_every_kind(dtype):
+    x = (np.arange(30).reshape(5, 6) % 3).astype(dtype)
+    want = np.fft.fft2(x.astype(np.complex128))
+    got = fft2(x)
+    assert got.dtype == np.complex128 and ifft2(x).dtype == np.complex128
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_ifft2_inverts_pagewise_3d():
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((12, 7, 4)) + 1j * rng.standard_normal((12, 7, 4))
+    y = fft2(x)
+    back = ifft2(y)
+    assert np.abs(back - x).max() <= 1e-12
+    for p in range(4):
+        np.testing.assert_allclose(back[:, :, p], ifft2(y[:, :, p]), atol=1e-14)
