@@ -91,6 +91,89 @@ def loop_product(ae, ai, be, bi):
     return out, a_out + b_out + pages
 
 
+def loop_solve(ae, ai, be, bi, side):
+    """Naive division: ``solve_left(a, b)`` for side "left", ``solve_right(b, a)`` else.
+
+    Per page, the system ``product(a, u) == b`` (left) or ``product(u, a) == b``
+    (right) is assembled entry by entry: ids both operands carry with equal
+    variants index equations, ids with complementary variants index pages,
+    the leftovers of ``a`` index unknowns and those of ``b`` right-hand sides.
+    A 1x1 ``a`` against a non-1x1 ``b`` moves ``b``'s matrix into the
+    right-hand sides.  Square systems go to ``np.linalg.solve``, tall ones to
+    ``np.linalg.lstsq``.  Returns ``(entries, index_list, worst_condition)``
+    in the engine's layout; pages whose condition exceeds 1e8 are left NaN.
+    """
+    a_by = {h.id: h for h in ai}
+    b_by = {h.id: h for h in bi}
+    inner = [h for h in ai if h.id in b_by and b_by[h.id].variant == h.variant]
+    page_src = ai if side == "left" else bi
+    pages = [b_by[h.id] for h in page_src
+             if h.id in a_by and h.id in b_by and a_by[h.id].variant != b_by[h.id].variant]
+    unknown = [h for h in ai if h.id not in b_by]
+    rhs = [h for h in bi if h.id not in a_by]
+
+    def dim_of(entries, indices, h):
+        for t, own in enumerate(indices):
+            if own.id == h.id:
+                return entries.shape[t + 2]
+        return 1
+
+    eq_axis = 0 if side == "left" else 1  # the matrix axis of a and b holding equations
+    blocks = ae.shape[:2] == (1, 1) and be.shape[:2] != (1, 1)
+    n_eq = 1 if blocks else ae.shape[eq_axis]
+    n_free = 1 if blocks else ae.shape[1 - eq_axis]
+    rhs_mat = list(be.shape[:2]) if blocks else [be.shape[1 - eq_axis]]
+    unk_dims = [dim_of(ae, ai, h) for h in unknown]
+    rhs_dims = [dim_of(be, bi, h) for h in rhs]
+    page_dims = [max(dim_of(ae, ai, h), dim_of(be, bi, h)) for h in pages]
+    eqs = list(itertools.product(range(n_eq), *(range(dim_of(ae, ai, h)) for h in inner)))
+    unks = list(itertools.product(range(n_free), *(range(d) for d in unk_dims)))
+    rhss = list(itertools.product(*(range(d) for d in rhs_mat + rhs_dims)))
+
+    def at(q, other):  # matrix position from the equation and the other matrix index
+        return (q, other) if side == "left" else (other, q)
+
+    if blocks:
+        res_mat = rhs_mat
+    else:
+        res_mat = [n_free] + rhs_mat if side == "left" else rhs_mat + [n_free]
+    lead = unk_dims + rhs_dims if side == "left" else rhs_dims + unk_dims
+    dtype = np.result_type(ae, be, np.float64)
+    out = np.full(res_mat + lead + page_dims, np.nan, dtype=dtype)
+    worst = 0.0
+    for pvals in itertools.product(*(range(d) for d in page_dims)):
+        amap = {h.id: v for h, v in zip(pages, pvals)}
+        M = np.zeros((len(eqs), len(unks)), dtype=dtype)
+        R = np.zeros((len(eqs), len(rhss)), dtype=dtype)
+        for e, (q, *ivals) in enumerate(eqs):
+            amap.update((h.id, v) for h, v in zip(inner, ivals))
+            for f, (fm, *uvals) in enumerate(unks):
+                amap.update((h.id, v) for h, v in zip(unknown, uvals))
+                M[e, f] = _value_at(ae, ai, amap, *((0, 0) if blocks else at(q, fm)))
+            for g, vals in enumerate(rhss):
+                bm, rvals = vals[: len(rhs_mat)], vals[len(rhs_mat):]
+                amap.update((h.id, v) for h, v in zip(rhs, rvals))
+                R[e, g] = _value_at(be, bi, amap, *(bm if blocks else at(q, bm[0])))
+        s = np.linalg.svd(M, compute_uv=False)
+        cond = s[0] / s[-1] if s[-1] > 0 else np.inf
+        worst = max(worst, cond)
+        if cond > 1e8:
+            continue
+        X = np.linalg.solve(M, R) if M.shape[0] == M.shape[1] else np.linalg.lstsq(M, R, rcond=None)[0]
+        for f, (fm, *uvals) in enumerate(unks):
+            for g, vals in enumerate(rhss):
+                bm, rvals = vals[: len(rhs_mat)], vals[len(rhs_mat):]
+                if blocks:
+                    mat = tuple(bm)
+                else:
+                    mat = (fm, bm[0]) if side == "left" else (bm[0], fm)
+                ix = tuple(uvals) + tuple(rvals) if side == "left" else tuple(rvals) + tuple(uvals)
+                out[mat + ix + pvals] = X[f, g]
+    unk_handles = [~h for h in unknown]
+    indices = unk_handles + rhs + pages if side == "left" else rhs + unk_handles + pages
+    return out, indices, worst
+
+
 def loop_ewise(fn, ae, ai, be, bi):
     """Naive aligned entrywise operation with union order and contraction."""
     union = []
