@@ -5,9 +5,10 @@ identity exists in two variants.  Repeating an identity with complementary
 variants sums (inner product), with equal variants pairs entrywise, and
 unmatched identities pair outer, which together with broadcasting additions,
 relations, and concatenations extends the familiar elementwise matrix-vector
-conventions.  Products and divisions execute as pagewise matrix kernels over
-3-axis lattices; a small expression language exposes the same operations as
-text.
+conventions.  Products and divisions execute as batched matrix kernels over
+operands folded to stacks of matrices, one leading axis per page index, so
+size-1 pages broadcast without copies; a small expression language exposes
+the same operations as text.
 """
 
 from .indices import (
@@ -22,16 +23,7 @@ from .indices import (
 )
 from .tensor import Shape, Tensor, assign, from_array, with_indices
 from .ewise import AlignmentPlanN, alignn, equal_all, ewise_binary, ewise_unary
-from .lattice import (
-    AlignmentPlan2,
-    Lattice,
-    align2,
-    from_lattice,
-    product,
-    solve_left,
-    solve_right,
-    to_lattice,
-)
+from .lattice import AlignmentPlan2, align2, product, solve_left, solve_right
 from .pagewise import (
     concat,
     horzcat,
@@ -64,10 +56,7 @@ __all__ = [
     "ewise_unary",
     "equal_all",
     "AlignmentPlan2",
-    "Lattice",
     "align2",
-    "to_lattice",
-    "from_lattice",
     "product",
     "solve_left",
     "solve_right",

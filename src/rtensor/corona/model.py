@@ -55,9 +55,18 @@ class _NullLedger(AllocationLedger):
 _NULL = _NullLedger()
 
 
-def _check_planes(phi, xa, wb):
+def _planes(phi, xa, wb):
+    """Checked float64 phase and image planes and the mask.
+
+    The image is checked for realness before the cast, which would drop an
+    imaginary part with only a warning.
+    """
+    xa = np.asarray(xa)
     if np.iscomplexobj(xa):
         raise DimMismatchError("aberrated image must be real")
+    phi = np.asarray(phi, dtype=np.float64)
+    xa = xa.astype(np.float64, copy=False)
+    wb = np.asarray(wb)
     if phi.shape != xa.shape or wb.shape != xa.shape:
         raise DimMismatchError(
             f"plane shapes disagree: phi {phi.shape}, image {xa.shape}, mask {wb.shape}"
@@ -65,6 +74,7 @@ def _check_planes(phi, xa, wb):
     if wb.dtype != np.bool_:
         raise DimMismatchError("occultation mask must be boolean")
     _check_finite(phase=phi, image=xa)
+    return phi, xa, wb
 
 
 def _check_finite(**arrays):
@@ -79,10 +89,7 @@ def sse(phi, xa, wb, want_gradient=False, ledger=None):
     Returns ``(E, grad, xt)``; ``grad`` is None unless requested.
     """
     led = ledger or _NULL
-    phi = np.asarray(phi, dtype=np.float64)
-    xa = np.asarray(xa, dtype=np.float64)
-    wb = np.asarray(wb)
-    _check_planes(phi, xa, wb)
+    phi, xa, wb = _planes(phi, xa, wb)
     with led.scope():
         ya = fft2(xa)
         yt = ya * np.exp(1j * phi)
@@ -116,9 +123,7 @@ class AberrationState:
 def state_at(phi, xa, wb, ledger=None) -> AberrationState:
     """Evaluate the model once at ``phi`` and cache the 2D DFTs for reuse."""
     led = ledger or _NULL
-    phi = np.asarray(phi, dtype=np.float64)
-    xa = np.asarray(xa, dtype=np.float64)
-    _check_planes(phi, xa, wb)
+    phi, xa, wb = _planes(phi, xa, wb)
     ya = fft2(xa)
     yt = ya * np.exp(1j * phi)
     xt = np.real(ifft2(yt))

@@ -101,9 +101,9 @@ def _to_boundary(z, d, radius):
 def optimize(xa, wb, options: TrustRegionOptions | None = None) -> OptReport:
     """Minimize the SSE over the phase matrix, starting from zeros."""
     opts = options or TrustRegionOptions()
-    xa = np.asarray(xa, dtype=np.float64)
+    xa = np.asarray(xa)  # state_at checks and casts it
     ledger = AllocationLedger()
-    phi = np.zeros_like(xa)
+    phi = np.zeros(xa.shape)
     state = state_at(phi, xa, wb, ledger=ledger)
     radius = opts.initial_radius
     trajectory = [state.e]

@@ -28,7 +28,6 @@ class AlignmentPlanN:
 
     union_indices: tuple[IndexHandle, ...]
     contract_ids: tuple[IndexHandle, ...]
-    perms: tuple[tuple[int, ...] | None, ...]  # per-operand axis order, None for plain arrays
 
 
 def _coerce_plain(op) -> np.ndarray:
@@ -75,28 +74,13 @@ def alignn(operands, *, skip_size_check=()):
                 raise DimMismatchError(
                     f"index {h!r} has sizes {sizes[h.id]} and {n} across operands"
                 )
-    aligned = []
-    perms = []
-    for op in ops:
-        if not isinstance(op, Tensor):
-            aligned.append(op.reshape(op.shape + (1,) * len(union)))
-            perms.append(None)
-            continue
-        axis_of = {h.id: t + 2 for t, h in enumerate(op.indices)}
-        perm = [0, 1] + [axis_of[h.id] for h in union if h.id in axis_of]
-        arr = np.transpose(op.entries, perm)
-        shape = list(op.entries.shape[:2])
-        k = 2
-        for h in union:
-            if h.id in axis_of:
-                shape.append(arr.shape[k])
-                k += 1
-            else:
-                shape.append(1)
-        aligned.append(arr.reshape(shape))
-        perms.append(tuple(perm))
+    groups = [[0], [1]] + [[h] for h in union]
+    aligned = [
+        op.fold(groups) if isinstance(op, Tensor) else op.reshape(op.shape + (1,) * len(union))
+        for op in ops
+    ]
     contract = tuple(h for h in union if h.id in both)
-    return aligned, AlignmentPlanN(tuple(union), contract, tuple(perms))
+    return aligned, AlignmentPlanN(tuple(union), contract)
 
 
 _ARITH = {

@@ -1,14 +1,16 @@
-"""Binary product and division through 3-axis lattices.
+"""Binary product and division as pagewise matrix kernels.
 
 A matched identity with complementary variants names an inner product, a
 matched identity with equal variants names an entrywise (page) pairing, and an
-unmatched identity names an outer pairing.  Each operand maps by
-permute-and-reshape onto a lattice, a rows x cols x pages array: outer
-dimensions fold into rows of the left lattice and columns of the right one,
-inner dimensions fold into the opposing pair, and pages carry the entrywise
-dimensions.  One batched matrix multiply (or triangular solve) per page then
-realizes any mixture of inner, entrywise, and outer products, with matrix rows
-and columns folding in as the leading factor of their group.
+unmatched identity names an outer pairing.  Each operand folds by
+permute-and-reshape (:meth:`Tensor.fold`) into a stack of matrices: one
+leading axis per page index, then rows, then columns.  Outer dimensions fold
+into the rows of the left operand and the columns of the right one, inner
+dimensions fold into the opposing pair, and matrix rows and columns fold in
+as the leading factor of their group.  Pages are never flattened, so a page
+index of size 1 in one operand broadcasts inside the batched matrix multiply
+(or solve) without being copied.  One kernel call then realizes any mixture
+of inner, entrywise, and outer products.
 
 Divisions complement every index of the denominator operand before alignment,
 so writing the denominator with complemented indices relative to the numerator
@@ -19,7 +21,6 @@ denominator leftovers.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,16 +29,7 @@ from .errors import DimMismatchError, SingularPageError
 from .indices import IndexHandle
 from .tensor import Tensor
 
-__all__ = [
-    "AlignmentPlan2",
-    "Lattice",
-    "align2",
-    "to_lattice",
-    "from_lattice",
-    "product",
-    "solve_left",
-    "solve_right",
-]
+__all__ = ["AlignmentPlan2", "align2", "product", "solve_left", "solve_right"]
 
 log = logging.getLogger(__name__)
 
@@ -86,65 +78,6 @@ def align2(a_indices, b_indices) -> AlignmentPlan2:
     return AlignmentPlan2(tuple(inner), tuple(pages), tuple(left_outer), tuple(right_outer))
 
 
-@dataclass
-class Lattice:
-    """A rows x cols x pages view of one operand, invertible exactly."""
-
-    data: np.ndarray
-    side: str
-    _perm: tuple[int, ...] = ()
-    _mid_shape: tuple[int, ...] = ()
-    _indices: tuple[IndexHandle, ...] = ()
-
-
-def _axis_map(t: Tensor) -> dict[int, int]:
-    return {h.id: k + 2 for k, h in enumerate(t.indices)}
-
-
-def _fold(t: Tensor, row_ids, col_ids, page_ids):
-    """Permute to (rows, row_ids.., cols, col_ids.., pages..) and fuse groups."""
-    axis = _axis_map(t)
-    perm = (
-        [0]
-        + [axis[h.id] for h in row_ids]
-        + [1]
-        + [axis[h.id] for h in col_ids]
-        + [axis[h.id] for h in page_ids]
-    )
-    arr = np.transpose(t.entries, perm)
-    mid = arr.shape
-    nrow = 1 + len(row_ids)
-    ncol = 1 + len(col_ids)
-    r = math.prod(mid[:nrow])
-    c = math.prod(mid[nrow:nrow + ncol])
-    p = math.prod(mid[nrow + ncol:])
-    return arr.reshape(r, c, p), tuple(perm), mid
-
-
-def to_lattice(t: Tensor, plan: AlignmentPlan2, side: str) -> Lattice:
-    """Map one product operand onto its lattice.
-
-    The left operand folds matrix rows with its outer dimensions and matrix
-    columns with the inner dimensions; the right operand folds matrix rows
-    with the inner dimensions and matrix columns with its outer dimensions.
-    """
-    if side == "left":
-        row_ids, col_ids = plan.left_outer_ids, plan.inner_ids
-    elif side == "right":
-        row_ids, col_ids = plan.inner_ids, plan.right_outer_ids
-    else:
-        raise ValueError("side must be 'left' or 'right'")
-    data, perm, mid = _fold(t, row_ids, col_ids, plan.page_ids)
-    return Lattice(data, side, perm, mid, t.indices)
-
-
-def from_lattice(lat: Lattice, plan: AlignmentPlan2 | None = None) -> Tensor:
-    """Invert :func:`to_lattice` exactly."""
-    arr = lat.data.reshape(lat._mid_shape)
-    inv = np.argsort(lat._perm)
-    return Tensor(np.transpose(arr, inv), lat._indices)
-
-
 def _as_tensor(op) -> Tensor:
     if isinstance(op, Tensor):
         return op.simplify()
@@ -155,36 +88,37 @@ def _numeric(arr: np.ndarray) -> np.ndarray:
     return arr.astype(np.float64) if arr.dtype == np.bool_ else arr
 
 
+def _sizes(t: Tensor, ids) -> list[int]:
+    return [t.entries.shape[t.dim_of(h)] for h in ids]
+
+
 def _check_matched_sizes(a: Tensor, b: Tensor, plan: AlignmentPlan2):
-    amap = _axis_map(a)
-    bmap = _axis_map(b)
-    for h in plan.inner_ids:
-        na = a.entries.shape[amap[h.id]]
-        nb = b.entries.shape[bmap[h.id]]
+    """Inner sizes must agree; page sizes must agree or be 1, which broadcasts."""
+    inner, pages = plan.inner_ids, plan.page_ids
+    for h, na, nb in zip(inner, _sizes(a, inner), _sizes(b, inner)):
         if na != nb:
             raise DimMismatchError(f"inner index {h!r} has sizes {na} and {nb}")
-    page_sizes = {}
-    for h in plan.page_ids:
-        na = a.entries.shape[amap[h.id]]
-        nb = b.entries.shape[bmap[h.id]]
+    for h, na, nb in zip(pages, _sizes(a, pages), _sizes(b, pages)):
         if na != nb and 1 not in (na, nb):
             raise DimMismatchError(f"page index {h!r} has sizes {na} and {nb}")
-        page_sizes[h.id] = max(na, nb)
-    return page_sizes
 
 
-def _expand_pages(t: Tensor, page_sizes: dict[int, int]) -> Tensor:
-    """Replicate size-1 page dimensions up to the common page sizes."""
-    shape = list(t.entries.shape)
-    changed = False
-    for k, h in enumerate(t.indices):
-        want = page_sizes.get(h.id)
-        if want is not None and shape[k + 2] != want:
-            shape[k + 2] = want
-            changed = True
-    if not changed:
-        return t
-    return Tensor(np.ascontiguousarray(np.broadcast_to(t.entries, shape)), t.indices)
+# Result layouts over five parts (pages, matrix axes of operand A, leftovers
+# of A, matrix axes of operand B, leftovers of B): matrix axes, then
+# leftovers, then pages, with A's part before B's or after it.
+_A_FIRST = (1, 3, 2, 4, 0)
+_B_FIRST = (3, 1, 4, 2, 0)
+
+
+def _unfold(x: np.ndarray, parts, order) -> np.ndarray:
+    """Split ``x``'s axes into consecutive ``parts`` (one shape list each)
+    and transpose the parts into ``order``."""
+    axes, start = [], 0
+    for p in parts:
+        axes.append(range(start, start + len(p)))
+        start += len(p)
+    arr = x.reshape([n for p in parts for n in p])
+    return np.transpose(arr, [k for part in order for k in axes[part]])
 
 
 def product(a, b) -> Tensor:
@@ -199,9 +133,7 @@ def product(a, b) -> Tensor:
     a = _as_tensor(a)
     b = _as_tensor(b)
     plan = align2(a.indices, b.indices)
-    page_sizes = _check_matched_sizes(a, b, plan)
-    a = _expand_pages(a, page_sizes)
-    b = _expand_pages(b, page_sizes)
+    _check_matched_sizes(a, b, plan)
     if a.cols == b.rows:
         return _lattice_product(a, b, plan)
     if (a.rows, a.cols) == (1, 1) or (b.rows, b.cols) == (1, 1):
@@ -211,71 +143,24 @@ def product(a, b) -> Tensor:
     )
 
 
-def _pages_first_fold(t: Tensor, row_ids, col_ids, page_ids) -> np.ndarray:
-    """Fold to a (pages, rows, cols) stack, copying at most once.
-
-    Pages lead so the batched matrix kernel sees contiguous blocks; matrix
-    rows/cols fold as the leading factor of their group.
-    """
-    axis = _axis_map(t)
-    perm = (
-        [axis[h.id] for h in page_ids]
-        + [0]
-        + [axis[h.id] for h in row_ids]
-        + [1]
-        + [axis[h.id] for h in col_ids]
-    )
-    arr = np.transpose(t.entries, perm)
-    mid = arr.shape
-    npg = len(page_ids)
-    nrow = 1 + len(row_ids)
-    pg = math.prod(mid[:npg])
-    r = math.prod(mid[npg:npg + nrow])
-    c = math.prod(mid[npg + nrow:])
-    # contiguity keeps the batched kernel on its fast path
-    return np.ascontiguousarray(arr.reshape(pg, r, c))
-
-
 def _lattice_product(a: Tensor, b: Tensor, plan: AlignmentPlan2) -> Tensor:
-    xa = _numeric(_pages_first_fold(a, plan.left_outer_ids, plan.inner_ids, plan.page_ids))
-    xb = _numeric(_pages_first_fold(b, plan.inner_ids, plan.right_outer_ids, plan.page_ids))
-    out = np.matmul(xa, xb)  # (pages, rows, cols), one blocked kernel per page
-    oL = [a.entries.shape[_axis_map(a)[h.id]] for h in plan.left_outer_ids]
-    oR = [b.entries.shape[_axis_map(b)[h.id]] for h in plan.right_outer_ids]
-    pg = [a.entries.shape[_axis_map(a)[h.id]] for h in plan.page_ids]
-    arr = out.reshape(pg + [a.rows] + oL + [b.cols] + oR)
-    npg, nL, nR = len(pg), len(oL), len(oR)
-    perm = (
-        [npg, npg + 1 + nL]
-        + list(range(npg + 1, npg + 1 + nL))
-        + list(range(npg + 2 + nL, npg + 2 + nL + nR))
-        + list(range(npg))
-    )
-    return Tensor(np.transpose(arr, perm), plan.result_indices)
-
-
-def _align_pair(t: Tensor, order: tuple[IndexHandle, ...]) -> np.ndarray:
-    """Entries permuted to follow ``order``, singleton dims for absent identities."""
-    axis = _axis_map(t)
-    perm = [0, 1] + [axis[h.id] for h in order if h.id in axis]
-    arr = np.transpose(t.entries, perm)
-    shape = list(arr.shape[:2])
-    k = 2
-    for h in order:
-        if h.id in axis:
-            shape.append(arr.shape[k])
-            k += 1
-        else:
-            shape.append(1)
-    return arr.reshape(shape)
+    pages = [[h] for h in plan.page_ids]
+    # contiguity keeps the batched kernel on its BLAS path
+    xa = np.ascontiguousarray(_numeric(
+        a.fold(pages + [[0, *plan.left_outer_ids], [1, *plan.inner_ids]])))
+    xb = np.ascontiguousarray(_numeric(
+        b.fold(pages + [[0, *plan.inner_ids], [1, *plan.right_outer_ids]])))
+    out = np.matmul(xa, xb)  # (*pages, rows, cols), one blocked kernel per page
+    parts = [out.shape[:-2], [a.rows], _sizes(a, plan.left_outer_ids),
+             [b.cols], _sizes(b, plan.right_outer_ids)]
+    return Tensor(_unfold(out, parts, _A_FIRST), plan.result_indices)
 
 
 def _expansion_product(a: Tensor, b: Tensor, plan: AlignmentPlan2) -> Tensor:
     # one operand is a 1x1 matrix: entrywise scaling plus summation over inner dims
     order = plan.left_outer_ids + plan.right_outer_ids + plan.page_ids + plan.inner_ids
-    xa = _numeric(_align_pair(a, order))
-    xb = _numeric(_align_pair(b, order))
-    out = xa * xb
+    groups = [[0], [1]] + [[h] for h in order]
+    out = _numeric(a.fold(groups)) * _numeric(b.fold(groups))
     n_inner = len(plan.inner_ids)
     if n_inner:
         out = out.sum(axis=tuple(range(out.ndim - n_inner, out.ndim)))
@@ -290,38 +175,49 @@ def _complement_all(t: Tensor) -> Tensor:
 
 
 def _page_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve A X = B per page; A (pages, m, k), B (pages, m, j).
+    """Solve A X = B per page; A (*pages, m, k), B (*pages, m, j).
 
-    Square pages use LU with partial pivoting, tall pages QR least squares.
-    Underdetermined pages are rejected and singular square pages raise
-    :class:`SingularPageError` with the offending page.
+    Page axes broadcast, so a size-1 page of either operand serves every page
+    of the other.  Square pages use LU with partial pivoting, tall pages QR
+    least squares.  Underdetermined pages are rejected and singular pages
+    raise :class:`SingularPageError` with the offending page, counted
+    row-major over the broadcast pages.
     """
-    pages, m, k = A.shape
+    m, k = A.shape[-2:]
     if m < k:
         raise DimMismatchError(
             f"underdetermined pages: {m} equations for {k} unknowns"
         )
     if log.isEnabledFor(logging.DEBUG):
-        for p in range(pages):
-            log.debug("page %d condition estimate %.3e", p, np.linalg.cond(A[p]))
+        for p, c in enumerate(np.linalg.cond(A).ravel()):
+            log.debug("page %d condition estimate %.3e", p, c)
+    pages = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
     if m == k:
         try:
             return np.linalg.solve(A, B)
         except np.linalg.LinAlgError:
-            for p in range(pages):
+            for idx in np.ndindex(A.shape[:-2]):
                 try:
-                    np.linalg.solve(A[p], B[p])
+                    np.linalg.inv(A[idx])  # the same LU test as solve
                 except np.linalg.LinAlgError:
-                    raise SingularPageError(f"singular square page {p}", page=p) from None
+                    raise _singular("singular square", idx, pages) from None
             raise
     Q, R = np.linalg.qr(A)
-    diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
-    scale = np.abs(R).max(axis=(1, 2))
-    bad = np.where(diag.min(axis=1) <= np.finfo(np.float64).eps * np.maximum(scale, 1) * m)[0]
-    if bad.size:
-        raise SingularPageError(f"rank-deficient page {bad[0]}", page=int(bad[0]))
-    rhs = np.matmul(np.conj(np.swapaxes(Q, 1, 2)), B)
+    diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
+    scale = np.abs(R).max(axis=(-2, -1))
+    bad = diag.min(axis=-1) <= np.finfo(np.float64).eps * np.maximum(scale, 1) * m
+    if bad.any():
+        raise _singular("rank-deficient", np.unravel_index(np.argmax(bad), bad.shape), pages)
+    rhs = np.matmul(np.conj(np.swapaxes(Q, -1, -2)), B)
     return np.linalg.solve(R, rhs)
+
+
+def _singular(what: str, idx, pages) -> SingularPageError:
+    """The error for A's first bad page ``idx``, numbered row-major over the
+    broadcast ``pages``.  It is the first bad page there too, because each
+    size-1 page axis of A is read at position 0 first."""
+    page = int(np.ravel_multi_index(idx, pages))
+    return SingularPageError(f"{what} page {page}", page=page)
 
 
 def _solve_common(den: Tensor, num: Tensor, den_left: bool):
@@ -332,81 +228,39 @@ def _solve_common(den: Tensor, num: Tensor, den_left: bool):
     numerator folds likewise with its leftovers as right-hand-side blocks.
     For left division the equation matrix dimension is the rows, for right
     division the columns.  A 1x1 denominator scales entrywise, in which case
-    the numerator's rows and columns ride along as block dimensions.
+    the numerator's rows and columns ride along as block dimensions.  Pages
+    lead both folds, one axis per page index, and broadcast in the solve.
     """
     if den_left:
         plan = align2(den.indices, num.indices)
         den_outer, num_outer = plan.left_outer_ids, plan.right_outer_ids
-        page_sizes = _check_matched_sizes(den, num, plan)
+        _check_matched_sizes(den, num, plan)
     else:
         plan = align2(num.indices, den.indices)
         num_outer, den_outer = plan.left_outer_ids, plan.right_outer_ids
-        page_sizes = _check_matched_sizes(num, den, plan)
-    den = _expand_pages(den, page_sizes)
-    num = _expand_pages(num, page_sizes)
+        _check_matched_sizes(num, den, plan)
 
-    inner, pages = plan.inner_ids, plan.page_ids
-    rhs_mat_in_blocks = (den.rows, den.cols) == (1, 1) and (num.rows, num.cols) != (1, 1)
-    eq_mat, free_mat = (0, 1) if den_left else (1, 0)
-
-    def fold(t, outer_ids, blocks_mat):
-        axis = _axis_map(t)
-        if blocks_mat:
-            rows = [axis[h.id] for h in inner]
-            cols = [0, 1] + [axis[h.id] for h in outer_ids]
-        else:
-            rows = [eq_mat] + [axis[h.id] for h in inner]
-            cols = [free_mat] + [axis[h.id] for h in outer_ids]
-        perm = rows + cols + [axis[h.id] for h in pages]
-        arr = np.transpose(t.entries, perm)
-        mid = arr.shape
-        e = math.prod(mid[: len(rows)])
-        f = math.prod(mid[len(rows): len(rows) + len(cols)])
-        return arr.reshape(e, f, math.prod(mid[len(rows) + len(cols):]))
-
-    A = fold(den, den_outer, blocks_mat=False)
-    B = fold(num, num_outer, blocks_mat=rhs_mat_in_blocks)
-    if A.shape[0] != B.shape[0]:
+    inner, pages = plan.inner_ids, [[h] for h in plan.page_ids]
+    if (den.rows, den.cols) == (1, 1) and (num.rows, num.cols) != (1, 1):
+        den_eq, den_free, num_eq, num_free = [0, 1], [], [], [0, 1]
+    else:
+        eq, free = (0, 1) if den_left else (1, 0)
+        den_eq, den_free, num_eq, num_free = [eq], [free], [eq], [free]
+    A = den.fold(pages + [[*den_eq, *inner], [*den_free, *den_outer]])
+    B = num.fold(pages + [[*num_eq, *inner], [*num_free, *num_outer]])
+    if A.shape[-2] != B.shape[-2]:
         raise DimMismatchError(
-            f"equation counts disagree: {A.shape[0]} vs {B.shape[0]}"
+            f"equation counts disagree: {A.shape[-2]} vs {B.shape[-2]}"
         )
-    dtype = np.result_type(_numeric(A).dtype, _numeric(B).dtype)
-    X = _page_solve(
-        np.moveaxis(A, 2, 0).astype(dtype),
-        np.moveaxis(B, 2, 0).astype(dtype),
-    )
-    X = np.moveaxis(X, 0, 2)  # (unknowns, blocks, pages)
-
-    den_axis = _axis_map(den)
-    num_axis = _axis_map(num)
-    den_dims = [den.entries.shape[den_axis[h.id]] for h in den_outer]
-    num_dims = [num.entries.shape[num_axis[h.id]] for h in num_outer]
-    pg_dims = [num.entries.shape[num_axis[h.id]] for h in pages]
-    nden, nnum, npg = len(den_dims), len(num_dims), len(pg_dims)
-
-    if rhs_mat_in_blocks:
-        arr = X.reshape(den_dims + [num.rows, num.cols] + num_dims + pg_dims)
-        mat_axes = [nden, nden + 1]
-        den_axes = list(range(nden))
-        num_axes = list(range(nden + 2, nden + 2 + nnum))
-        pg_axes = list(range(nden + 2 + nnum, nden + 2 + nnum + npg))
-    else:
-        den_free = den.cols if den_left else den.rows
-        num_free = num.cols if den_left else num.rows
-        arr = X.reshape([den_free] + den_dims + [num_free] + num_dims + pg_dims)
-        # left division: result matrix is (den cols, num cols);
-        # right division: (num rows, den rows)
-        mat_axes = [0, 1 + nden] if den_left else [1 + nden, 0]
-        den_axes = list(range(1, 1 + nden))
-        num_axes = list(range(2 + nden, 2 + nden + nnum))
-        pg_axes = list(range(2 + nden + nnum, 2 + nden + nnum + npg))
+    dtype = np.result_type(A.dtype, B.dtype, np.float64)  # booleans solve as reals
+    X = _page_solve(A.astype(dtype, copy=False), B.astype(dtype, copy=False))
+    # left division: result matrix is (den cols, num cols), right division
+    # (num rows, den rows), and a 1x1 denominator's is the numerator's
+    parts = [X.shape[:-2], [den.entries.shape[x] for x in den_free], _sizes(den, den_outer),
+             [num.entries.shape[x] for x in num_free], _sizes(num, num_outer)]
     if den_left:
-        perm = mat_axes + den_axes + num_axes + pg_axes
-        indices = tuple(den_outer) + tuple(num_outer) + tuple(pages)
-    else:
-        perm = mat_axes + num_axes + den_axes + pg_axes
-        indices = tuple(num_outer) + tuple(den_outer) + tuple(pages)
-    return Tensor(np.transpose(arr, perm), indices)
+        return Tensor(_unfold(X, parts, _A_FIRST), den_outer + num_outer + plan.page_ids)
+    return Tensor(_unfold(X, parts, _B_FIRST), num_outer + den_outer + plan.page_ids)
 
 
 def solve_left(a, b) -> Tensor:

@@ -75,7 +75,9 @@ class Tensor:
 
     ``entries`` always has ``ndim == 2 + degree``; trailing singleton
     dimensions are materialized at construction so each index owns one array
-    dimension.  Duplicate identities in the index list are allowed until
+    dimension.  ``entries`` is a read-only view, which may share memory with
+    the array passed in: the caller must not mutate that array afterwards.
+    Duplicate identities in the index list are allowed until
     :meth:`simplify` runs; the alignment engines simplify their operands on
     entry.
     """
@@ -95,7 +97,9 @@ class Tensor:
             )
         target = arr.shape[:2] + arr.shape[2:2 + len(idx)]
         target += (1,) * (2 + len(idx) - len(target))
-        object.__setattr__(self, "entries", arr.reshape(target))
+        entries = arr.reshape(target)  # a new view, so the flag below is ours
+        entries.flags.writeable = False
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "indices", idx)
 
     def __setattr__(self, name, value):  # immutable after construction
@@ -139,6 +143,29 @@ class Tensor:
             if own.id == h.id:
                 return t + 2
         return None
+
+    def fold(self, groups: Iterable[Sequence]) -> np.ndarray:
+        """Entries with each group's axes permuted together and fused into one axis.
+
+        A group lists matrix axes (``0`` rows, ``1`` columns) and index
+        handles; within a group the first listed axis varies slowest.  A
+        handle whose identity the tensor lacks stands for a size-1 axis, so
+        an empty group fuses to size 1.  Together the groups must name every
+        axis of the entries exactly once.  The result is a view whenever the
+        permuted layout allows one.
+        """
+        dims, dim_of = self.entries.shape, self.dim_of
+        perm: list[int] = []
+        shape: list[int] = []
+        for group in groups:
+            n = 1
+            for g in group:
+                axis = g if isinstance(g, int) else dim_of(g)
+                if axis is not None:
+                    perm.append(axis)
+                    n *= dims[axis]
+            shape.append(n)
+        return self.entries.transpose(perm).reshape(shape)
 
     def __repr__(self) -> str:
         dims = "x".join(str(d) for d in self.entries.shape)
@@ -220,25 +247,12 @@ class Tensor:
         ids = [h.id for h in new_idx]
         if len(set(ids)) != len(ids):
             raise SubscriptKindError("permutation lists an identity twice")
-        pos = {h.id: t for t, h in enumerate(self.indices)}
-        for own in self.indices:
-            if own.id not in ids:
-                raise UnknownIndexError(f"permute drops index {own!r}")
-        perm = [0, 1]
-        final = []
-        fill = self.entries.ndim
-        grow = 0
-        for h in new_idx:
-            if h.id in pos:
-                perm.append(pos[h.id] + 2)
-                final.append(self.indices[pos[h.id]])
-            else:
-                perm.append(fill + grow)
-                grow += 1
-                final.append(h)
-        arr = self.entries.reshape(self.entries.shape + (1,) * grow)
-        arr = np.transpose(arr, perm)
-        return Tensor(arr, final)
+        own = {h.id: h for h in self.indices}
+        for h in self.indices:
+            if h.id not in ids:
+                raise UnknownIndexError(f"permute drops index {h!r}")
+        arr = self.fold([[0], [1]] + [[h] for h in new_idx])
+        return Tensor(arr, [own.get(h.id, h) for h in new_idx])
 
     def sum(self, over: Iterable[IndexHandle]) -> "Tensor":
         """Sum the stored array over matched identities, irrespective of variants."""
@@ -318,7 +332,11 @@ def _diagonal(arr: np.ndarray, axes: list[int], keep: int) -> np.ndarray:
 
 
 def from_array(values) -> tuple[Tensor, list[IndexHandle]]:
-    """Wrap a dense array, minting one fresh true-variant index per tensor dimension."""
+    """Wrap a dense array, minting one fresh true-variant index per tensor dimension.
+
+    The tensor may share memory with ``values``; do not mutate ``values``
+    afterwards.
+    """
     arr = _as_entries(values)
     idx = fresh_many(max(arr.ndim - 2, 0))
     return Tensor(arr, idx), idx

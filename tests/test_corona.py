@@ -144,6 +144,17 @@ def test_sse_shape_checks():
         sse(phi, xa, wb.astype(float))
 
 
+def test_complex_image_rejected_before_any_cast():
+    # a float64 cast would drop the imaginary part with only a ComplexWarning
+    xa = np.ones((8, 8)) + 1j
+    mask = np.zeros((8, 8), dtype=bool)
+    for run in (lambda: sse(np.zeros((8, 8)), xa, mask),
+                lambda: state_at(np.zeros((8, 8)), xa, mask),
+                lambda: optimize(xa, mask, TrustRegionOptions(max_iter=1))):
+        with pytest.raises(DimMismatchError):
+            run()
+
+
 def test_gradient_matches_central_differences():
     xa, wb, phi = small_instance()
     e, grad, xt = sse(phi, xa, wb, want_gradient=True)

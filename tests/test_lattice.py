@@ -6,14 +6,12 @@ import pytest
 from rtensor import (
     Tensor,
     align2,
-    from_lattice,
     fresh,
     fresh_many,
     page_ctranspose,
     product,
     solve_left,
     solve_right,
-    to_lattice,
     with_indices,
 )
 from rtensor.errors import DimMismatchError, SingularPageError
@@ -77,7 +75,16 @@ def test_align2_result_order_and_page_variant():
     assert plan.result_indices == (t, ~i)
 
 
-# -- lattice mapping -----------------------------------------------------------
+# -- fold onto a rows x cols x pages lattice -------------------------------------
+
+
+def lattice_groups(plan, side):
+    """Fold groups of one product operand as a rows x cols x pages lattice."""
+    if side == "left":
+        rows, cols = plan.left_outer_ids, plan.inner_ids
+    else:
+        rows, cols = plan.inner_ids, plan.right_outer_ids
+    return [[0, *rows], [1, *cols], list(plan.page_ids)]
 
 
 def test_pagewise_matrix_maps_unchanged():
@@ -85,9 +92,9 @@ def test_pagewise_matrix_maps_unchanged():
     arr = np.random.rand(100, 100, 10)
     t = with_indices(arr, [k])
     plan = align2([k], [k])
-    lat = to_lattice(t, plan, "left")
-    assert lat.data.shape == (100, 100, 10)
-    np.testing.assert_array_equal(lat.data, arr)
+    lat = t.fold(lattice_groups(plan, "left"))
+    assert lat.shape == (100, 100, 10)
+    np.testing.assert_array_equal(lat, arr)
 
 
 def test_lattice_roundtrip_identity():
@@ -96,8 +103,11 @@ def test_lattice_roundtrip_identity():
     plan = align2([i, j, k], [~j, k])
     for side in ("left", "right"):
         use = t if side == "left" else with_indices(np.random.rand(2, 3, 5, 6), [~j, k])
-        lat = to_lattice(use, plan, side)
-        back = from_lattice(lat)
+        groups = lattice_groups(plan, side)
+        lat = use.fold(groups)
+        axes = [g if isinstance(g, int) else use.dim_of(g) for grp in groups for g in grp]
+        mid = [use.entries.shape[a] for a in axes]
+        back = Tensor(np.transpose(lat.reshape(mid), np.argsort(axes)), use.indices)
         np.testing.assert_array_equal(back.entries, use.entries)
         assert back.indices == use.indices
 
@@ -107,8 +117,8 @@ def test_degree_two_scalar_lattice_shape():
     m, n = 3, 4
     t = with_indices(np.random.rand(1, 1, m, n), [p, q])
     plan = align2([p, q], [~q])  # q inner, p left-outer
-    lat = to_lattice(t, plan, "left")
-    assert lat.data.shape == (m, n, 1)
+    lat = t.fold(lattice_groups(plan, "left"))
+    assert lat.shape == (m, n, 1)
 
 
 # -- product ---------------------------------------------------------------------

@@ -20,8 +20,10 @@ def _entries(rng, shape, kind, integer):
     """Random entries of one element kind; integer-valued when ``integer``."""
     if kind == "bool":
         return rng.integers(0, 2, shape).astype(bool)
-    draw = (lambda: rng.integers(-3, 4, shape).astype(float)) if integer else (
-        lambda: rng.standard_normal(shape))
+
+    def draw():
+        return rng.integers(-3, 4, shape).astype(float) if integer else rng.standard_normal(shape)
+
     return draw() + 1j * draw() if kind == "complex" else draw()
 
 

@@ -43,6 +43,18 @@ def test_from_array_degree_two():
     assert t.degree == 2 and len(idx) == 2
 
 
+def test_entries_are_read_only():
+    arr = np.random.rand(2, 2, 3)
+    t, _ = from_array(arr)
+    with pytest.raises(ValueError):
+        t.entries[0, 0, 0] = 1.0
+    derived = t.permute(list(reversed(t.indices)))
+    with pytest.raises(ValueError):
+        derived.entries[...] = 0.0
+    arr[0, 0, 0] = 5.0  # the caller's own array stays writeable
+    assert arr.flags.writeable
+
+
 def test_with_indices_trailing_dims():
     k = fresh()
     t = with_indices(np.random.rand(3, 1, 5), [k])
