@@ -48,7 +48,6 @@ def main():
         f"({traj[-1] / traj[0]:.2e} of initial) in {report.iterations} iterations"
     )
     print(f"max |corrected - ground truth| = {err:.3e}")
-    print(f"peak accounted bytes: {report.peak_bytes}")
     print(f"images in {out}/")
 
 

@@ -1,7 +1,7 @@
 """Coronagraph phase-aberration correction demo built on 2D FFTs."""
 
 from .fourier import dft_operator, fft2, ifft2
-from .model import AberrationState, AllocationLedger, hess_mult, hess_mult_cached, sse, state_at
+from .model import AberrationState, hess_mult, hess_mult_cached, sse, state_at
 from .optimize import OptReport, TrustRegionOptions, optimize
 from .scene import (
     Instance,
@@ -22,7 +22,6 @@ __all__ = [
     "hess_mult_cached",
     "state_at",
     "AberrationState",
-    "AllocationLedger",
     "optimize",
     "TrustRegionOptions",
     "OptReport",

@@ -1,22 +1,24 @@
-"""Wall-time and accounted-memory measurements for the demo's kernels.
+"""Wall-time and tracemalloc peak-byte measurements for the demo's kernels.
 
 For each image format the benchmark times the SSE alone, the SSE with its
-gradient, and the Hessian-multiply at two pages, and records the peak bytes
-each accounts through the allocation ledger.  Absolute numbers are
-environment-specific; the interesting outputs are the ratios between the
-operations and how the bytes scale with the pixel count.
+gradient, and the Hessian-multiply at two pages, then makes one more,
+untimed call of each under ``tracemalloc`` and records how far traced memory
+rose above its level before the call.  Tracing is off while the clock runs.
+Absolute numbers are environment-specific; the interesting outputs are the
+ratios between the operations and how the bytes scale with the pixel count.
 """
 
 from __future__ import annotations
 
 import csv
 import time
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fourier import fft2, ifft2
-from .model import AllocationLedger, hess_mult, sse
+from .model import hess_mult, sse
 from .scene import make_aberration, make_ground_truth, make_source
 
 __all__ = ["BenchRow", "benchmark", "write_bench_csv"]
@@ -40,6 +42,18 @@ def _median_time(fn, reps):
     return float(np.median(times))
 
 
+def _peak_bytes(fn):
+    """Rise of traced memory over its baseline during one call of ``fn``."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 def benchmark(sizes, reps=3, seed=0) -> list[BenchRow]:
     """Measure sse, sse+gradient, and hess_mult(P=2) at each (M, N) format."""
     rows = []
@@ -53,20 +67,13 @@ def benchmark(sizes, reps=3, seed=0) -> list[BenchRow]:
         dphi = rng.uniform(-0.1, 0.1, (m, n, 2))
         _, _, xt = sse(phi, xa, wb)
 
-        t_sse = _median_time(lambda: sse(phi, xa, wb), reps)
-        t_grad = _median_time(lambda: sse(phi, xa, wb, want_gradient=True), reps)
-        t_hmf = _median_time(lambda: hess_mult(xt, dphi, wb), reps)
-
-        led_sse = AllocationLedger()
-        sse(phi, xa, wb, ledger=led_sse)
-        led_grad = AllocationLedger()
-        sse(phi, xa, wb, want_gradient=True, ledger=led_grad)
-        led_hmf = AllocationLedger()
-        hess_mult(xt, dphi, wb, ledger=led_hmf)
-
-        rows.append(BenchRow(m, n, "sse", t_sse, led_sse.peak))
-        rows.append(BenchRow(m, n, "sse_grad", t_grad, led_grad.peak))
-        rows.append(BenchRow(m, n, "hmf", t_hmf, led_hmf.peak))
+        ops = {
+            "sse": lambda: sse(phi, xa, wb),
+            "sse_grad": lambda: sse(phi, xa, wb, want_gradient=True),
+            "hmf": lambda: hess_mult(xt, dphi, wb),
+        }
+        secs = {op: _median_time(fn, reps) for op, fn in ops.items()}
+        rows += [BenchRow(m, n, op, secs[op], _peak_bytes(fn)) for op, fn in ops.items()]
     return rows
 
 

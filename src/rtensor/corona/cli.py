@@ -2,7 +2,7 @@
 
 Subcommands: ``synth`` writes a synthetic scene, ``solve`` corrects an
 aberrated image by SSE minimization, ``bench`` measures kernel timings and
-accounted memory, ``check`` runs the finite-difference derivative suites.
+tracemalloc peak bytes, ``check`` runs the finite-difference derivative suites.
 """
 
 from __future__ import annotations
@@ -14,11 +14,12 @@ from pathlib import Path
 
 import numpy as np
 
+from ..errors import EngineError
 from .bench import benchmark, write_bench_csv
 from .fourier import fft2, ifft2
 from .model import hess_mult, sse
 from .optimize import TrustRegionOptions, optimize
-from .pgm import read_mask, read_pgm, write_csv, write_mask, write_pgm
+from .pgm import read_csv, read_mask, read_pgm, write_csv, write_mask, write_pgm
 from .scene import SceneConfig, make_aberration, make_instance
 
 
@@ -42,7 +43,7 @@ def _cmd_solve(args):
     wb = read_mask(src / "mask.pgm")
     csv_path = src / "aberrated.csv"
     if csv_path.exists():
-        xa = np.loadtxt(csv_path, delimiter=",")
+        xa = read_csv(csv_path)
     else:
         xa = read_pgm(src / "aberrated.pgm")
     opts = TrustRegionOptions(
@@ -69,12 +70,25 @@ def _cmd_solve(args):
     return 0
 
 
+def _square_sizes(text):
+    return [(int(s), int(s)) for s in text.split(",")]
+
+
 def _cmd_bench(args):
-    sizes = [(int(s), int(s)) for s in args.sizes.split(",")]
-    rows = benchmark(sizes, reps=args.reps)
+    rows = benchmark(args.sizes, reps=args.reps)
     write_bench_csv(rows, args.out)
-    for r in rows:
-        print(f"{r.m:5d} {r.n:5d} {r.op:9s} {r.secs * 1e3:10.3f} ms {r.bytes:>12d} B")
+    by = {(r.m, r.op): r for r in rows}
+    print(
+        f"{'size':>6} {'sse':>10} {'sse+grad':>10} {'hmf P=2':>10} {'grad/sse':>9} {'hmf/grad':>9}"
+        f" {'sse B':>11} {'sse+grad B':>11} {'hmf B':>11}"
+    )
+    for m, _ in args.sizes:
+        s, g, h = by[(m, "sse")], by[(m, "sse_grad")], by[(m, "hmf")]
+        print(
+            f"{m:>6} {s.secs * 1e3:>8.3f}ms {g.secs * 1e3:>8.3f}ms {h.secs * 1e3:>8.3f}ms "
+            f"{g.secs / s.secs:>9.2f} {h.secs / g.secs:>9.2f} {s.bytes:>11d} {g.bytes:>11d} {h.bytes:>11d}"
+        )
+    print(f"wrote {args.out} (bytes: tracemalloc peak per call)")
     return 0
 
 
@@ -139,8 +153,8 @@ def main(argv=None) -> int:
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(fn=_cmd_solve)
 
-    p = sub.add_parser("bench", help="time the kernels and account memory")
-    p.add_argument("--sizes", default="64,128,256,512")
+    p = sub.add_parser("bench", help="time the kernels and record tracemalloc peak bytes")
+    p.add_argument("--sizes", type=_square_sizes, default="64,128,256,512")
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_bench)
@@ -151,7 +165,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except Exception as exc:  # surface a clean message, nonzero exit
+    except EngineError as exc:  # a clean message for faults in the input; bugs keep their traceback
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

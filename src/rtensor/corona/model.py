@@ -10,7 +10,6 @@ both derivatives cost the same order as the SSE itself.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,167 +17,111 @@ import numpy as np
 from ..errors import DimMismatchError, SpecError
 from .fourier import fft2, ifft2
 
-__all__ = ["AllocationLedger", "AberrationState", "sse", "hess_mult", "state_at", "hess_mult_cached"]
+__all__ = ["AberrationState", "sse", "hess_mult", "state_at", "hess_mult_cached"]
 
 
-class AllocationLedger:
-    """Accounts bytes of the demo's named buffers; peak of the live total.
-
-    This is a reproducible stand-in for OS-level measurements: functions note
-    the arrays they hold, a scope releases them on exit, and ``peak`` records
-    the largest concurrent total.
-    """
-
-    def __init__(self):
-        self.current = 0
-        self.peak = 0
-
-    def note(self, *arrays):
-        for a in arrays:
-            self.current += a.nbytes
-        self.peak = max(self.peak, self.current)
-
-    @contextmanager
-    def scope(self):
-        mark = self.current
-        try:
-            yield self
-        finally:
-            self.current = mark
+def _real(name, a):
+    """``a`` as finite float64.  Realness is checked before the cast, which
+    would drop an imaginary part with only a warning."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        raise DimMismatchError(f"{name} must be real")
+    a = a.astype(np.float64, copy=False)
+    if not np.isfinite(a).all():
+        raise SpecError(f"{name} has non-finite entries")
+    return a
 
 
-class _NullLedger(AllocationLedger):
-    def note(self, *arrays):
-        pass
-
-
-_NULL = _NullLedger()
-
-
-def _planes(phi, xa, wb):
-    """Checked float64 phase and image planes and the mask.
-
-    The image is checked for realness before the cast, which would drop an
-    imaginary part with only a warning.
-    """
-    xa = np.asarray(xa)
-    if np.iscomplexobj(xa):
-        raise DimMismatchError("aberrated image must be real")
-    phi = np.asarray(phi, dtype=np.float64)
-    xa = xa.astype(np.float64, copy=False)
+def _planes(wb, **planes):
+    """Checked float64 planes, in the order given, then the boolean mask."""
+    planes = {name: _real(name, a) for name, a in planes.items()}
     wb = np.asarray(wb)
-    if phi.shape != xa.shape or wb.shape != xa.shape:
-        raise DimMismatchError(
-            f"plane shapes disagree: phi {phi.shape}, image {xa.shape}, mask {wb.shape}"
-        )
+    shapes = [a.shape for a in planes.values()]
+    if any(s != wb.shape for s in shapes):
+        raise DimMismatchError(f"plane shapes disagree: {shapes}, mask {wb.shape}")
     if wb.dtype != np.bool_:
         raise DimMismatchError("occultation mask must be boolean")
-    _check_finite(phase=phi, image=xa)
-    return phi, xa, wb
+    return (*planes.values(), wb)
 
 
-def _check_finite(**arrays):
-    for name, a in arrays.items():
-        if not np.isfinite(a).all():
-            raise SpecError(f"{name} has non-finite entries")
-
-
-def sse(phi, xa, wb, want_gradient=False, ledger=None):
-    """SSE of the corrected image, optionally with its gradient.
-
-    Returns ``(E, grad, xt)``; ``grad`` is None unless requested.
-    """
-    led = ledger or _NULL
-    phi, xa, wb = _planes(phi, xa, wb)
-    with led.scope():
-        ya = fft2(xa)
-        yt = ya * np.exp(1j * phi)
-        xt = np.real(ifft2(yt))
-        wf = ~wb & (xt < 0)
-        xe = (wb | wf) * xt
-        led.note(ya, yt, xt, wf, xe)
-        grad = None
-        if want_gradient:
-            mn = xt.size
-            ye = fft2(xe)
-            grad = 2.0 / mn * np.imag(np.conj(yt) * ye)
-            led.note(ye, grad)
-        e = float(xe.ravel() @ xe.ravel())
-    return e, grad, xt
+def _deviant(xt, wb):
+    """Deviant pixels: the whole background, and negative foreground values."""
+    return wb | (xt < 0)
 
 
 @dataclass
 class AberrationState:
-    """Cached quantities at a fixed phase matrix, for repeated Hessian applies."""
+    """The model evaluated at a fixed phase matrix, with the 2D DFTs that
+    repeated Hessian applies reuse.  ``ye`` and ``grad`` are None when the
+    gradient was not requested."""
 
     phi: np.ndarray
     xt: np.ndarray
     yt: np.ndarray
     w: np.ndarray
-    ye: np.ndarray
+    ye: np.ndarray | None
     e: float
-    grad: np.ndarray
+    grad: np.ndarray | None
 
 
-def state_at(phi, xa, wb, ledger=None) -> AberrationState:
-    """Evaluate the model once at ``phi`` and cache the 2D DFTs for reuse."""
-    led = ledger or _NULL
-    phi, xa, wb = _planes(phi, xa, wb)
-    ya = fft2(xa)
-    yt = ya * np.exp(1j * phi)
+def _evaluate(phi, xa, wb, want_gradient) -> AberrationState:
+    phi, xa, wb = _planes(wb, phase=phi, image=xa)
+    yt = fft2(xa) * np.exp(1j * phi)
     xt = np.real(ifft2(yt))
-    w = wb | (~wb & (xt < 0))
+    w = _deviant(xt, wb)
     xe = w * xt
-    ye = fft2(xe)
-    mn = xt.size
-    grad = 2.0 / mn * np.imag(np.conj(yt) * ye)
-    led.note(ya, yt, xt, w, xe, ye, grad)
+    ye = grad = None
+    if want_gradient:
+        ye = fft2(xe)
+        grad = 2.0 / xt.size * np.imag(np.conj(yt) * ye)
     e = float(xe.ravel() @ xe.ravel())
     return AberrationState(phi=phi, xt=xt, yt=yt, w=w, ye=ye, e=e, grad=grad)
 
 
-def hess_mult(xt, dphi, wb, ledger=None):
+def sse(phi, xa, wb, want_gradient=False):
+    """SSE of the corrected image, optionally with its gradient.
+
+    Returns ``(E, grad, xt)``; ``grad`` is None unless requested, and then the
+    gradient's DFT is never taken.
+    """
+    state = _evaluate(phi, xa, wb, want_gradient)
+    return state.e, state.grad, state.xt
+
+
+def state_at(phi, xa, wb) -> AberrationState:
+    """Evaluate the model and its gradient once at ``phi``, keeping the 2D
+    DFTs for reuse by ``hess_mult_cached``."""
+    return _evaluate(phi, xa, wb, True)
+
+
+def hess_mult(xt, dphi, wb):
     """Hessian of the SSE applied to phase-step pages, without forming it.
 
     ``dphi`` is M x N x P (a single M x N page is accepted); the result is the
     (M*N) x P matrix whose column k is the Hessian at the phase implied by
     ``xt`` times the vectorized page k (row-major vectorization).
     """
-    led = ledger or _NULL
-    xt = np.asarray(xt, dtype=np.float64)
-    dphi = np.asarray(dphi, dtype=np.float64)
+    xt, wb = _planes(wb, image=xt)
+    w = _deviant(xt, wb)
+    return _hess_mult(fft2(xt), fft2(w * xt), w, dphi)
+
+
+def hess_mult_cached(state: AberrationState, dphi):
+    """Hessian-multiply reusing the DFTs cached in ``state`` (from ``state_at``)."""
+    return _hess_mult(state.yt, state.ye, state.w, dphi)
+
+
+def _hess_mult(yt, ye, w, dphi):
+    dphi = _real("steps", dphi)
     if dphi.ndim == 2:
         dphi = dphi[:, :, None]
-    if dphi.shape[:2] != xt.shape or wb.shape != xt.shape:
-        raise DimMismatchError(
-            f"shapes disagree: image {xt.shape}, steps {dphi.shape}, mask {wb.shape}"
-        )
-    _check_finite(image=xt, steps=dphi)
-    with led.scope():
-        yt = fft2(xt)
-        w = wb | (~wb & (xt < 0))
-        ye = fft2(w * xt)
-        led.note(yt, w, ye)
-        return _hmf_core(yt, ye, w, dphi, led)
-
-
-def hess_mult_cached(state: AberrationState, dphi, ledger=None):
-    """Hessian-multiply reusing the DFTs cached in ``state``."""
-    led = ledger or _NULL
-    dphi = np.asarray(dphi, dtype=np.float64)
-    if dphi.ndim == 2:
-        dphi = dphi[:, :, None]
-    with led.scope():
-        return _hmf_core(state.yt, state.ye, state.w, dphi, led)
-
-
-def _hmf_core(yt, ye, w, dphi, led):
-    mn = yt.shape[0] * yt.shape[1]
+    if dphi.ndim != 3 or dphi.shape[:2] != w.shape:
+        raise DimMismatchError(f"shapes disagree: image {w.shape}, steps {dphi.shape}")
+    mn = w.size
     dyt = 1j * (yt[:, :, None] * dphi)
     dxt = np.real(ifft2(dyt))
     dye = fft2(w[:, :, None] * dxt)
     f = 2.0 / mn * (
         np.imag(np.conj(dyt) * ye[:, :, None]) + np.imag(np.conj(yt)[:, :, None] * dye)
     )
-    led.note(dyt, dxt, dye, f)
     return f.reshape(mn, dphi.shape[2])

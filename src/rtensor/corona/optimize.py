@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import AllocationLedger, hess_mult_cached, state_at
+from .model import hess_mult_cached, state_at
 
 __all__ = ["TrustRegionOptions", "OptReport", "optimize"]
 
@@ -46,7 +46,6 @@ class OptReport:
     sse_trajectory: list[float]
     grad_norms: list[float]
     wall_times: list[float]
-    peak_bytes: int
     phi: np.ndarray
     corrected: np.ndarray
     stop_reason: str
@@ -102,9 +101,8 @@ def optimize(xa, wb, options: TrustRegionOptions | None = None) -> OptReport:
     """Minimize the SSE over the phase matrix, starting from zeros."""
     opts = options or TrustRegionOptions()
     xa = np.asarray(xa)  # state_at checks and casts it
-    ledger = AllocationLedger()
     phi = np.zeros(xa.shape)
-    state = state_at(phi, xa, wb, ledger=ledger)
+    state = state_at(phi, xa, wb)
     radius = opts.initial_radius
     trajectory = [state.e]
     grad_norms = [float(np.abs(state.grad).max())]
@@ -116,7 +114,7 @@ def optimize(xa, wb, options: TrustRegionOptions | None = None) -> OptReport:
     it = 0
 
     def hv(d):
-        f = hess_mult_cached(state, d, ledger=ledger)
+        f = hess_mult_cached(state, d)
         return f[:, 0].reshape(d.shape)
 
     while it < opts.max_iter:
@@ -136,7 +134,7 @@ def optimize(xa, wb, options: TrustRegionOptions | None = None) -> OptReport:
             stop = "no_step"
             break
         pred = -(float(g.ravel() @ step.ravel()) + 0.5 * float(step.ravel() @ hs.ravel()))
-        trial = state_at(phi + step, xa, wb, ledger=ledger)
+        trial = state_at(phi + step, xa, wb)
         actual = state.e - trial.e
         rho = actual / pred if pred > 0 else -np.inf
 
@@ -167,7 +165,6 @@ def optimize(xa, wb, options: TrustRegionOptions | None = None) -> OptReport:
         sse_trajectory=trajectory,
         grad_norms=grad_norms,
         wall_times=wall,
-        peak_bytes=ledger.peak,
         phi=phi,
         corrected=state.xt,
         stop_reason=stop,

@@ -49,6 +49,14 @@ class SpecError(EngineError):
     """A scene or configuration parameter is out of its valid range."""
 
 
+class DataFileError(EngineError):
+    """A file the demo reads is missing, truncated or malformed; carries the path."""
+
+    def __init__(self, message, path):
+        super().__init__(f"{path}: {message}")
+        self.path = path
+
+
 class UnknownNameError(EngineError):
     """An expression referenced a name that is not bound in the environment."""
 

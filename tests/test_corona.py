@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from rtensor.corona import (
-    AllocationLedger,
     SceneConfig,
     TrustRegionOptions,
     fft2,
@@ -144,13 +143,28 @@ def test_sse_shape_checks():
         sse(phi, xa, wb.astype(float))
 
 
+def test_hess_mult_checks_mask_like_sse():
+    xa, wb, phi = small_instance()
+    _, _, xt = sse(phi, xa, wb)
+    for mask in (wb.astype(int), wb.astype(int).tolist()):
+        with pytest.raises(DimMismatchError):
+            hess_mult(xt, np.ones((8, 8)), mask)
+    np.testing.assert_array_equal(hess_mult(xt, np.ones((8, 8)), wb.tolist()), hess_mult(xt, np.ones((8, 8)), wb))
+
+
 def test_complex_image_rejected_before_any_cast():
     # a float64 cast would drop the imaginary part with only a ComplexWarning
     xa = np.ones((8, 8)) + 1j
     mask = np.zeros((8, 8), dtype=bool)
+    real = np.ones((8, 8))
+    state = state_at(np.zeros((8, 8)), real, mask)
     for run in (lambda: sse(np.zeros((8, 8)), xa, mask),
                 lambda: state_at(np.zeros((8, 8)), xa, mask),
-                lambda: optimize(xa, mask, TrustRegionOptions(max_iter=1))):
+                lambda: sse(xa, real, mask),
+                lambda: optimize(xa, mask, TrustRegionOptions(max_iter=1)),
+                lambda: hess_mult(xa, real, mask),
+                lambda: hess_mult(real, xa, mask),
+                lambda: hess_mult_cached(state, xa)):
         with pytest.raises(DimMismatchError):
             run()
 
@@ -180,10 +194,14 @@ def test_gradient_zero_where_error_zero():
 
 
 def test_hess_mult_shape_check():
+    # a (1, 1, P) step must not broadcast to a full (M*N) x P result
     xa, wb, phi = small_instance()
-    _, _, xt = sse(phi, xa, wb)
-    with pytest.raises(DimMismatchError):
-        hess_mult(xt, np.zeros((4, 8, 2)), wb)
+    state = state_at(phi, xa, wb)
+    for steps in ((4, 8, 2), (1, 1, 2), (8,), (8, 8, 2, 1)):
+        with pytest.raises(DimMismatchError):
+            hess_mult(state.xt, np.zeros(steps), wb)
+        with pytest.raises(DimMismatchError):
+            hess_mult_cached(state, np.zeros(steps))
 
 
 def test_hess_mult_zero_step():
@@ -234,14 +252,6 @@ def test_hess_mult_cached_matches_direct():
     )
 
 
-def test_ledger_accounts_peak():
-    xa, wb, phi = small_instance()
-    led = AllocationLedger()
-    sse(phi, xa, wb, want_gradient=True, ledger=led)
-    assert led.peak > 0
-    assert led.current == 0  # everything released at scope exit
-
-
 # -- optimizer ----------------------------------------------------------------------
 
 
@@ -259,7 +269,6 @@ def test_optimize_reduces_sse_on_small_instance():
     traj = report.sse_trajectory
     assert traj[-1] < 0.05 * traj[0]
     assert all(traj[k + 1] <= traj[k] for k in range(len(traj) - 1))
-    assert report.peak_bytes > 0
 
 
 def test_optimize_shrinks_radius_on_nan_ratio(monkeypatch):
@@ -269,8 +278,8 @@ def test_optimize_shrinks_radius_on_nan_ratio(monkeypatch):
     real_state_at = optimize_module.state_at
     calls = []
 
-    def nan_trials(phi, xa, wb, ledger=None):
-        state = real_state_at(phi, xa, wb, ledger=ledger)
+    def nan_trials(phi, xa, wb):
+        state = real_state_at(phi, xa, wb)
         if calls:
             state.e = float("nan")  # every trial point evaluates to NaN
         calls.append(1)
@@ -305,6 +314,8 @@ def test_model_rejects_non_finite_planes(bad):
     dphi[5, 5, 1] = bad
     with pytest.raises(SpecError):
         hess_mult(xa, dphi, wb)
+    with pytest.raises(SpecError):
+        hess_mult_cached(state_at(phi, xa, wb), dphi)
 
 
 def test_optimize_rejects_nan_pixel():

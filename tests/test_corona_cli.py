@@ -1,9 +1,12 @@
 import csv
 
 import numpy as np
+import pytest
 
+import rtensor.corona.cli as corona_cli
 from rtensor.corona.cli import main as corona_main
-from rtensor.corona.pgm import read_mask, read_pgm, write_mask, write_pgm
+from rtensor.corona.pgm import read_csv, read_mask, read_pgm, write_csv, write_mask, write_pgm
+from rtensor.errors import DataFileError, SpecError
 
 
 def test_pgm_roundtrip(tmp_path):
@@ -66,6 +69,84 @@ def test_bench_csv(tmp_path):
         rows = list(csv.reader(f))
     assert rows[0] == ["M", "N", "op", "secs", "bytes"]
     assert len(rows) - 1 == 2 * 3
+    # bytes are tracemalloc peaks, so every op holds some and they grow with the format
+    nbytes = {(int(r[0]), r[2]): int(r[4]) for r in rows[1:]}
+    for op in ("sse", "sse_grad", "hmf"):
+        assert 0 < nbytes[(16, op)] < nbytes[(24, op)]
+
+
+def _pgm_blob(tmp_path):
+    path = tmp_path / "img.pgm"
+    write_pgm(path, np.full((2, 3), 0.5))
+    return path.read_bytes()
+
+
+PGM_FAULTS = {
+    "truncated body": lambda blob: blob[:-1],
+    "header cut short": lambda blob: b"P5\n3 ",
+    "header comment runs to end": lambda blob: b"P5\n3 2 # no maxval",
+    "non-integer header": lambda blob: blob.replace(b"3 2", b"3 x", 1),
+    "zero width": lambda blob: blob.replace(b"3 2", b"0 2", 1),
+    "not P5": lambda blob: b"P2" + blob[2:],
+}
+
+
+@pytest.mark.parametrize("fault", PGM_FAULTS)
+def test_read_pgm_faults_carry_the_path(tmp_path, fault):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(PGM_FAULTS[fault](_pgm_blob(tmp_path)))
+    with pytest.raises(DataFileError) as info:
+        read_pgm(path)
+    assert info.value.path == path
+
+
+@pytest.mark.parametrize("text", ["1,2\n3\n", "1,x\n"])
+def test_read_csv_malformed_carries_the_path(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(DataFileError) as info:
+        read_csv(path)
+    assert info.value.path == path
+
+
+@pytest.mark.parametrize("read", [read_pgm, read_csv])
+def test_missing_file_carries_the_path(tmp_path, read):
+    path = tmp_path / "absent"
+    with pytest.raises(DataFileError) as info:
+        read(path)
+    assert info.value.path == path
+
+
+def test_csv_roundtrip(tmp_path):
+    path = tmp_path / "m.csv"
+    matrix = np.random.default_rng(2).standard_normal((3, 4))
+    write_csv(path, matrix)
+    np.testing.assert_array_equal(read_csv(path), matrix)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_write_pgm_rejects_non_finite_pixels(tmp_path, bad):
+    path = tmp_path / "img.pgm"
+    with pytest.raises(SpecError):
+        write_pgm(path, np.array([[0.5, bad]]))
+    assert not path.exists()
+
+
+def test_solve_reports_a_malformed_csv_with_its_path(tmp_path, capsys):
+    scene = tmp_path / "scene"
+    assert corona_main(["synth", "--size", "32", "--out", str(scene)]) == 0
+    (scene / "aberrated.csv").write_text("1,x\n")
+    assert corona_main(["solve", "--in", str(scene), "--out", str(tmp_path / "out")]) == 1
+    assert str(scene / "aberrated.csv") in capsys.readouterr().err
+
+
+def test_cli_lets_unexpected_errors_propagate(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("a bug, not an input fault")
+
+    monkeypatch.setattr(corona_cli, "benchmark", broken)
+    with pytest.raises(RuntimeError):
+        corona_main(["bench", "--sizes", "16", "--out", str(tmp_path / "b.csv")])
 
 
 def test_check_command():
