@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from rtensor.dsl import (
 )
 from rtensor.errors import ExprSyntaxError, SubscriptKindError, UnknownNameError
 
+ROOT = Path(__file__).resolve().parents[1]
 
 def env_with_vectors():
     env = Environment.with_seed(1)
@@ -100,6 +102,56 @@ def test_parse_unterminated_bracket():
 def test_parse_malformed_number():
     with pytest.raises(ExprSyntaxError):
         parse("a(i) + 1.2.3")
+
+
+def _statements(path):
+    lines = (line.split("#", 1)[0].strip() for line in path.read_text(encoding="utf-8").splitlines())
+    return [s for s in lines if s]
+
+
+def test_parse_results_pinned():
+    """``data/parse_pinned.json`` pairs statements with the ``repr`` of their
+    parse: every statement of scripts/golden.rts, then the 201 statements the
+    engine-small benchmark workload generates for seed 1."""
+    pinned = json.loads((ROOT / "tests" / "data" / "parse_pinned.json").read_text(encoding="utf-8"))
+    assert set(_statements(ROOT / "scripts" / "golden.rts")) <= {text for text, _ in pinned}
+    for text, expected in pinned:
+        assert repr(parse(text)) == expected, text
+
+
+@pytest.mark.parametrize("text, message, line, col", [
+    ("a +", "unexpected token ''", 1, 4),
+    ("a(i", "expected ')', found ''", 1, 4),
+    ("[a b", "unterminated bracket", 1, 1),
+    ("[a;", "unterminated bracket", 1, 1),
+    ("[]", "empty brackets", 1, 1),
+    ("1.2.3", "malformed number '1.2.3'", 1, 1),
+    ("1e", "malformed number '1e'", 1, 1),
+    ("a(~1)", "expected an index name after '~'", 1, 4),
+    ("cat(~, a)", "expected an index name after '~'", 1, 6),
+    ("3 = a", "assignment target must be a tensor reference", 1, 3),
+    ("a $ b", "unexpected character '$'", 1, 3),
+    ("\t@", "unexpected character '@'", 1, 2),
+    (".", "unexpected character '.'", 1, 1),
+    ("a..b", "unexpected character '.'", 1, 2),
+    ("a;;", "unexpected trailing token ';'", 1, 3),
+    ("x = y = z", "unexpected trailing token '='", 1, 7),
+    ("a(i)'(j)", "unexpected trailing token '('", 1, 6),
+    ("(a", "expected ')', found ''", 1, 3),
+    ("a(1 2)", "expected ')', found '2'", 1, 5),
+    ("", "unexpected token ''", 1, 1),
+    ("a * * b", "unexpected token '*'", 1, 5),
+    ("assert", "unexpected token ''", 1, 7),
+    ("a(i,)", "subscripts must be index names, numbers, or ':'", 1, 5),
+    ("cat()", "subscripts must be index names, numbers, or ':'", 1, 5),
+    ("a\n+", "unexpected token ''", 2, 2),
+    ("a(i)\n  $", "unexpected character '$'", 2, 3),
+    ("1 +\r\n2 +", "unexpected token ''", 2, 4),
+])
+def test_parse_errors_pinned(text, message, line, col):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(text)
+    assert (str(err.value), err.value.line, err.value.col) == (f"{message} (at {line}:{col})", line, col)
 
 
 def test_parse_print_roundtrip():
