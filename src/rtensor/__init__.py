@@ -21,7 +21,7 @@ from .indices import (
     same_id,
     variant,
 )
-from .tensor import Shape, Tensor, assign, from_array, with_indices
+from .tensor import Tensor, assign, from_array, with_indices
 from .ewise import AlignmentPlanN, alignn, equal_all, ewise_binary, ewise_unary
 from .lattice import AlignmentPlan2, align2, product, solve_left, solve_right
 from .pagewise import (
@@ -46,7 +46,6 @@ __all__ = [
     "as_true",
     "as_false",
     "Tensor",
-    "Shape",
     "from_array",
     "with_indices",
     "assign",

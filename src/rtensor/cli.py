@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .dsl import Environment, EngineError, evaluate, parse, run_script, summarize, to_json_record
+from .dsl import Environment, EngineError, _truthy, evaluate, parse, run_script, summarize, to_json_record
 
 
 def _apply_defines(env, defines):
@@ -33,7 +33,7 @@ def _cmd_eval(args) -> int:
     kind, node = parse(args.expression)
     value = evaluate(node, env)
     if kind == "assert":
-        ok = bool(value) if isinstance(value, bool) else bool((value.entries != 0).all())
+        ok = _truthy(value)
         print("assert ok" if ok else "assert failed")
         return 0 if ok else 1
     if args.json:

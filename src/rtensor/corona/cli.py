@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from ..errors import EngineError
+from ..errors import DataFileError, EngineError
 from .bench import benchmark, write_bench_csv
 from .fourier import fft2, ifft2
 from .model import hess_mult, sse
@@ -23,17 +24,28 @@ from .pgm import read_csv, read_mask, read_pgm, write_csv, write_mask, write_pgm
 from .scene import SceneConfig, make_aberration, make_instance
 
 
+@contextmanager
+def _writing(out: Path):
+    """Report an OS fault while writing under ``out`` as a DataFileError that
+    names the file (or ``out`` when the fault names none)."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        yield
+    except OSError as exc:
+        raise DataFileError(f"cannot write: {exc.strerror or exc}", exc.filename or out) from exc
+
+
 def _cmd_synth(args):
     cfg = SceneConfig(size=args.size, seed=args.seed)
     inst = make_instance(cfg)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_pgm(out / "source.pgm", inst.source, square=args.square)
-    write_pgm(out / "ground_truth.pgm", inst.ground_truth, square=args.square)
-    write_mask(out / "mask.pgm", inst.mask)
-    write_pgm(out / "aberrated.pgm", inst.aberrated, square=args.square)
-    # the PGM clamps negatives; the CSV keeps the exact values the solver needs
-    write_csv(out / "aberrated.csv", inst.aberrated)
+    with _writing(out):
+        write_pgm(out / "source.pgm", inst.source, square=args.square)
+        write_pgm(out / "ground_truth.pgm", inst.ground_truth, square=args.square)
+        write_mask(out / "mask.pgm", inst.mask)
+        write_pgm(out / "aberrated.pgm", inst.aberrated, square=args.square)
+        # the PGM clamps negatives; the CSV keeps the exact values the solver needs
+        write_csv(out / "aberrated.csv", inst.aberrated)
     print(f"wrote scene ({cfg.size}x{cfg.size}, seed {cfg.seed}) to {out}/")
     return 0
 
@@ -51,17 +63,17 @@ def _cmd_solve(args):
     )
     report = optimize(xa, wb, opts)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_pgm(out / "corrected.pgm", report.corrected, square=args.square)
-    write_csv(out / "phase.csv", report.phi)
-    with open(out / "report.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["step", "sse", "grad_inf_norm", "secs"])
-        for k, e in enumerate(report.sse_trajectory):
-            writer.writerow(
-                [k, f"{e:.9e}", f"{report.grad_norms[k]:.9e}",
-                 f"{report.wall_times[min(k, len(report.wall_times) - 1)]:.6f}"]
-            )
+    with _writing(out):
+        write_pgm(out / "corrected.pgm", report.corrected, square=args.square)
+        write_csv(out / "phase.csv", report.phi)
+        with open(out / "report.csv", "w", newline="") as f:
+            writer = csv.writer(f)
+            writer.writerow(["step", "sse", "grad_inf_norm", "secs"])
+            for k, e in enumerate(report.sse_trajectory):
+                writer.writerow(
+                    [k, f"{e:.9e}", f"{report.grad_norms[k]:.9e}",
+                     f"{report.wall_times[min(k, len(report.wall_times) - 1)]:.6f}"]
+                )
     first, last = report.sse_trajectory[0], report.sse_trajectory[-1]
     print(
         f"{report.iterations} iterations, sse {first:.4e} -> {last:.4e}, "

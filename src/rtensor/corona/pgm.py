@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DataFileError, SpecError
+from ..errors import DataFileError, DimMismatchError, SpecError
 
 __all__ = ["write_pgm", "read_pgm", "write_mask", "read_mask", "write_csv", "read_csv"]
 
@@ -19,7 +19,10 @@ _MAXVAL = 65535
 
 def write_pgm(path, image, square=False):
     """Write a real image; values clamp to [0, 1] (optionally squared first)."""
-    arr = np.asarray(image, dtype=np.float64)
+    arr = np.asarray(image)
+    if np.iscomplexobj(arr):  # checked before the cast, which would drop the imaginary part
+        raise DimMismatchError(f"image for {path} must be real")
+    arr = arr.astype(np.float64, copy=False)
     if not np.isfinite(arr).all():
         raise SpecError(f"image for {path} has non-finite pixels")
     if square:

@@ -5,16 +5,28 @@ complement marks (``a(i)``, ``y(~j,i)``), the operator set
 ``* \\ / .* ./ .\\ .^ + - ' .' == ~= < > <= >= & |``, bracket concatenation
 (``[x y]``, ``[x; y]``), and the functions ``cat``, ``trace``, ``diag``,
 ``isequal``, ``abs``, ``log``, ``exp``, ``conj``, ``step``, ``round``,
-``ones``, ``zeros``, ``rand``.  ``*``, ``\\``, ``/`` and the dotted operators
-share one left-associative level; ``+ -`` bind below them, relations below
-that, and ``& |`` lowest.  ``~`` complements an index inside subscripts and is
-logical NOT on a tensor.  Index names intern to one identity per session.
+``ones``, ``zeros``, ``rand``.  ``~`` complements an index inside subscripts
+and is logical NOT on a tensor.  Index names intern to one identity per
+session.
+
+Precedence, loosest first; every binary level is left-associative:
+
+1. ``&`` ``|``
+2. ``==`` ``~=`` ``<`` ``>`` ``<=`` ``>=``
+3. ``+`` ``-``
+4. ``*`` ``\\`` ``/`` ``.*`` ``./`` ``.\\`` ``.^``
+5. prefix ``-`` ``+`` ``~``
+6. postfix ``'`` ``.'``
+
+Prefix binds looser than postfix, so ``-a'`` is ``-(a')``.
 """
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -34,83 +46,35 @@ __all__ = [
 
 # -- tokens ------------------------------------------------------------------
 
-_TWO_CHAR = (".*", "./", ".\\", ".^", ".'", "==", "~=", "<=", ">=")
-_ONE_CHAR = "+-*/\\<>=&|~'(),;:[]"
+_TOKEN = re.compile(
+    r"(?P<newline>\n)"
+    r"|(?P<skip>[ \t\r]+|#[^\n]*)"
+    r"|(?P<num>(?:\d|\.\d)[\d.]*(?:[eE][+-]?\d*)?)"
+    r"|(?P<name>[^\W\d]\w*)"
+    r"|(?P<op>\.[*/\\^']|[=~<>]=|[-+*/\\<>=&|~'(),;:\[\]])"
+    r"|(?P<bad>.)"
+)
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # 'name' | 'num' | 'op' | 'end'
     text: str
     line: int
     col: int
-    spaced: bool  # whitespace immediately before this token
 
 
 def _lex(text: str) -> list[_Tok]:
     toks: list[_Tok] = []
-    line, col = 1, 1
-    i = 0
-    spaced = False
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            toks.append(_Tok("op", "\n", line, col, spaced))
-            line += 1
-            col = 1
-            i += 1
-            spaced = False
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            spaced = True
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":
-                j += 1
-                if j < n and text[j] in "+-":
-                    j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            toks.append(_Tok("num", text[i:j], line, start_col, spaced))
-            col += j - i
-            i = j
-            spaced = False
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Tok("name", text[i:j], line, start_col, spaced))
-            col += j - i
-            i = j
-            spaced = False
-            continue
-        two = text[i:i + 2]
-        if two in _TWO_CHAR:
-            toks.append(_Tok("op", two, line, start_col, spaced))
-            i += 2
-            col += 2
-            spaced = False
-            continue
-        if c in _ONE_CHAR:
-            toks.append(_Tok("op", c, line, start_col, spaced))
-            i += 1
-            col += 1
-            spaced = False
-            continue
-        raise ExprSyntaxError(f"unexpected character {c!r}", line, col)
-    toks.append(_Tok("end", "", line, col, spaced))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, col = m.lastgroup, m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {m.group()!r}", line, col)
+        elif kind != "skip":
+            toks.append(_Tok(kind, m.group(), line, col))
+    toks.append(_Tok("end", "", line, len(text) - line_start + 1))
     return toks
 
 
@@ -185,11 +149,15 @@ _FUNCTIONS = {
     "abs", "log", "exp", "conj", "step", "round",
     "ones", "zeros", "rand",
 }
-_MUL_OPS = ("*", "\\", "/", ".*", "./", ".\\", ".^")
-_ADD_OPS = ("+", "-")
-_REL_OPS = ("==", "~=", "<", ">", "<=", ">=")
-_LOGIC_OPS = ("&", "|")
-_BINARY_TEXT = set(_MUL_OPS + _ADD_OPS + _REL_OPS + _LOGIC_OPS)
+# the precedence table of the module docstring, shared by the parser and the printer
+_PREC = {
+    "&": 1, "|": 1,
+    "==": 2, "~=": 2, "<": 2, ">": 2, "<=": 2, ">=": 2,
+    "+": 3, "-": 3,
+    "*": 4, "\\": 4, "/": 4, ".*": 4, "./": 4, ".\\": 4, ".^": 4,
+}
+_PREFIX_PREC, _POSTFIX_PREC = 5, 6
+_PREFIX = {"-": "neg", "+": "pos", "~": "not"}
 
 
 class _Parser:
@@ -215,10 +183,6 @@ class _Parser:
         t = self.peek()
         raise ExprSyntaxError(msg, t.line, t.col)
 
-    def skip_newlines(self):
-        while self.peek().text == "\n":
-            self.next()
-
     # statement := 'assert' expr | lhs '=' expr | expr
     def statement(self):
         if self.peek().kind == "name" and self.peek().text == "assert":
@@ -232,49 +196,21 @@ class _Parser:
             return ("assign", Assign(node, self.expr()))
         return ("expr", node)
 
-    def expr(self):
-        return self.logic_tier()
-
-    def logic_tier(self):
-        node = self.rel_tier()
-        while self.peek().text in _LOGIC_OPS:
-            op = self.next().text
-            node = Binary(op, node, self.rel_tier())
-        return node
-
-    def rel_tier(self):
-        node = self.add_tier()
-        while self.peek().text in _REL_OPS:
-            op = self.next().text
-            node = Binary(op, node, self.add_tier())
-        return node
-
-    def add_tier(self):
-        node = self.mul_tier()
-        while self.peek().text in _ADD_OPS:
-            op = self.next().text
-            node = Binary(op, node, self.mul_tier())
-        return node
-
-    def mul_tier(self):
+    def expr(self, level: int = 1):
+        """An operand followed by every binary operator of precedence at least
+        ``level``; each right operand only takes operators that bind tighter."""
         node = self.prefix()
-        while self.peek().text in _MUL_OPS:
+        while _PREC.get(self.peek().text, 0) >= level:
             op = self.next().text
-            node = Binary(op, node, self.prefix())
+            node = Binary(op, node, self.expr(_PREC[op] + 1))
         return node
 
     def prefix(self):
-        t = self.peek()
-        if t.text == "-":
-            self.next()
-            return Unary("neg", self.prefix())
-        if t.text == "+":
-            self.next()
-            return Unary("pos", self.prefix())
-        if t.text == "~":
-            self.next()
-            return Unary("not", self.prefix())
-        return self.postfix()
+        op = _PREFIX.get(self.peek().text)
+        if op is None:
+            return self.postfix()
+        self.next()
+        return Unary(op, self.prefix())
 
     def postfix(self):
         node = self.primary()
@@ -285,11 +221,7 @@ class _Parser:
     def primary(self):
         t = self.peek()
         if t.kind == "num":
-            self.next()
-            try:
-                return Num(float(t.text))
-            except ValueError:
-                raise ExprSyntaxError(f"malformed number {t.text!r}", t.line, t.col) from None
+            return Num(self.number())
         if t.text == "(":
             self.next()
             node = self.expr()
@@ -300,18 +232,30 @@ class _Parser:
         if t.kind == "name":
             self.next()
             if self.peek().text == "(":
-                if t.text in _FUNCTIONS:
-                    return Call(t.text, self.call_args(t.text))
-                return TensorRef(t.text, self.subscripts())
+                if t.text in _FUNCTIONS:  # cat's first argument is a subscript
+                    first = self.sub_item if t.text == "cat" else self.expr
+                    return Call(t.text, self.arglist(first, self.expr))
+                return TensorRef(t.text, self.arglist(self.sub_item, self.sub_item))
             return TensorRef(t.text, None)
         self.fail(f"unexpected token {t.text!r}")
 
-    def subscripts(self) -> tuple:
+    def number(self) -> float:
+        t = self.next()
+        try:
+            value = float(t.text)
+        except ValueError:
+            raise ExprSyntaxError(f"malformed number {t.text!r}", t.line, t.col) from None
+        if not math.isfinite(value):
+            raise ExprSyntaxError(f"number {t.text!r} is too large", t.line, t.col)
+        return value
+
+    def arglist(self, first, rest) -> tuple:
+        """'(' first (',' rest)* ')'"""
         self.expect("(")
-        items = [self.sub_item()]
+        items = [first()]
         while self.peek().text == ",":
             self.next()
-            items.append(self.sub_item())
+            items.append(rest())
         self.expect(")")
         return tuple(items)
 
@@ -330,25 +274,8 @@ class _Parser:
             self.next()
             return IndexSub(t.text, False)
         if t.kind == "num":
-            self.next()
-            try:
-                return NumSub(float(t.text))
-            except ValueError:
-                raise ExprSyntaxError(f"malformed number {t.text!r}", t.line, t.col) from None
+            return NumSub(self.number())
         self.fail("subscripts must be index names, numbers, or ':'")
-
-    def call_args(self, fn: str) -> tuple:
-        self.expect("(")
-        args = []
-        if fn == "cat":
-            args.append(self.sub_item())
-        else:
-            args.append(self.expr())
-        while self.peek().text == ",":
-            self.next()
-            args.append(self.expr())
-        self.expect(")")
-        return tuple(args)
 
     def bracket(self) -> Bracket:
         # items split where the next token cannot continue an expression, so
@@ -374,13 +301,11 @@ class _Parser:
 
 def parse(text: str):
     """Parse one statement; returns ('expr'|'assign'|'assert', node)."""
-    toks = [t for t in _lex(text) if t.text != "\n"]
-    p = _Parser(toks)
+    p = _Parser(_lex(text))
     kind, node = p.statement()
-    trailing = p.peek()
-    if trailing.text == ";":
+    if p.peek().text == ";":
         p.next()
-        trailing = p.peek()
+    trailing = p.peek()
     if trailing.kind != "end":
         raise ExprSyntaxError(
             f"unexpected trailing token {trailing.text!r}", trailing.line, trailing.col
@@ -390,10 +315,7 @@ def parse(text: str):
 
 # -- printing ------------------------------------------------------------------
 
-_PRec = {op: 4 for op in _MUL_OPS}
-_PRec.update({op: 3 for op in _ADD_OPS})
-_PRec.update({op: 2 for op in _REL_OPS})
-_PRec.update({op: 1 for op in _LOGIC_OPS})
+_PREFIX_MARK = {op: mark for mark, op in _PREFIX.items()}
 
 
 def print_ast(node) -> str:
@@ -402,43 +324,57 @@ def print_ast(node) -> str:
 
 
 def _fmt(node, outer: int) -> str:
+    """``node`` as text, in parentheses when it binds looser than ``outer``."""
     if isinstance(node, Num):
-        v = node.value
-        return str(int(v)) if v == int(v) else repr(v)
+        return _num_text(node.value)
     if isinstance(node, TensorRef):
         if node.subs is None:
             return node.name
         return f"{node.name}({','.join(_fmt_sub(s) for s in node.subs)})"
     if isinstance(node, Call):
-        return f"{node.fn}({','.join(_fmt_sub(a) if isinstance(a, (IndexSub, NumSub, ColonSub)) else _fmt(a, 0) for a in node.args)})"
-    if isinstance(node, Unary):
-        mark = {"neg": "-", "pos": "+", "not": "~"}[node.op]
-        return f"{mark}{_fmt(node.operand, 5)}"
-    if isinstance(node, Postfix):
-        return f"{_fmt(node.operand, 6)}{node.op}"
-    if isinstance(node, Binary):
-        p = _PRec[node.op]
-        lhs = _fmt(node.lhs, p)
-        rhs = _fmt(node.rhs, p + 1)  # left-associative
-        text = f"{lhs}{node.op}{rhs}"
-        return f"({text})" if p < outer else text
+        return f"{node.fn}({','.join(_fmt_sub(a) for a in node.args)})"
     if isinstance(node, Bracket):
-        rows = [" ".join(_fmt(item, 0) for item in row) for row in node.rows]
-        return f"[{'; '.join(rows)}]"
+        return f"[{'; '.join(_fmt_row(row) for row in node.rows)}]"
     if isinstance(node, Assign):
         return f"{_fmt(node.target, 0)} = {_fmt(node.value, 0)}"
-    raise TypeError(f"cannot print {node!r}")
+    if isinstance(node, Unary):
+        level, text = _PREFIX_PREC, _PREFIX_MARK[node.op] + _fmt(node.operand, _PREFIX_PREC)
+    elif isinstance(node, Postfix):
+        level, text = _POSTFIX_PREC, _before_op(_fmt(node.operand, _POSTFIX_PREC), node.op)
+    elif isinstance(node, Binary):
+        level = _PREC[node.op]
+        text = _before_op(_fmt(node.lhs, level), node.op) + _fmt(node.rhs, level + 1)
+    else:
+        raise TypeError(f"cannot print {node!r}")
+    return f"({text})" if level < outer else text
+
+
+def _before_op(text: str, op: str) -> str:
+    # "1.*b" would lex as the number "1." times b
+    return f"{text} {op}" if op[0] == "." and text[-1].isdigit() else text + op
+
+
+def _fmt_row(row) -> str:
+    items = [_fmt(item, 0) for item in row]
+    if any(text[0] in "+-(" for text in items[1:]):
+        # "[a -b]" reads as one item a-b and "[a (b)]" as a subscripted a;
+        # once every item is in parentheses, none can continue the one before
+        items = [f"({text})" for text in items]
+    return " ".join(items)
 
 
 def _fmt_sub(s) -> str:
     if isinstance(s, IndexSub):
         return f"~{s.name}" if s.complemented else s.name
     if isinstance(s, NumSub):
-        v = s.value
-        return str(int(v)) if v == int(v) else repr(v)
+        return _num_text(s.value)
     if isinstance(s, ColonSub):
         return ":"
     return _fmt(s, 0)
+
+
+def _num_text(v: float) -> str:
+    return str(int(v)) if v == int(v) else repr(v)
 
 
 # -- environment and evaluation ------------------------------------------------
@@ -487,6 +423,16 @@ def _shape_args(args) -> tuple[int, ...]:
     return tuple(dims)
 
 
+def _handle(sub: IndexSub, env: Environment) -> IndexHandle:
+    h = env.index(sub.name)
+    return ~h if sub.complemented else h
+
+
+# function names, looked up per call, so a rebound ``lattice.product`` takes effect
+_LATTICE_OPS = {"*": "product", "\\": "solve_left", "/": "solve_right"}
+_EWISE_NAMES = {"&": "and", "|": "or"}  # every other operator is its own ewise name
+
+
 def evaluate(node, env: Environment):
     """Evaluate a parsed expression against an environment."""
     if isinstance(node, Num):
@@ -498,22 +444,14 @@ def evaluate(node, env: Environment):
         if node.subs is None:
             return t
         if all(isinstance(s, IndexSub) for s in node.subs):
-            handles = [
-                ~env.index(s.name) if s.complemented else env.index(s.name)
-                for s in node.subs
-            ]
-            return t.reindex(handles)
+            return t.reindex([_handle(s, env) for s in node.subs])
         if any(isinstance(s, IndexSub) for s in node.subs):
             raise SubscriptKindError("subscripts mix index names with numbers")
         subs = [":" if isinstance(s, ColonSub) else int(s.value) for s in node.subs]
         return from_array(t.slice(subs))[0]
     if isinstance(node, Unary):
         val = evaluate(node.operand, env)
-        if node.op == "pos":
-            return val
-        if node.op == "neg":
-            return ewise.ewise_unary("neg", _as_value_tensor(val))
-        return ewise.ewise_unary("not", _as_value_tensor(val))
+        return val if node.op == "pos" else ewise.ewise_unary(node.op, _as_value_tensor(val))
     if isinstance(node, Postfix):
         val = _as_value_tensor(evaluate(node.operand, env))
         if node.op == "'":
@@ -522,20 +460,9 @@ def evaluate(node, env: Environment):
     if isinstance(node, Binary):
         lhs = _as_value_tensor(evaluate(node.lhs, env))
         rhs = _as_value_tensor(evaluate(node.rhs, env))
-        op = node.op
-        if op == "*":
-            return lattice.product(lhs, rhs)
-        if op == "\\":
-            return lattice.solve_left(lhs, rhs)
-        if op == "/":
-            return lattice.solve_right(lhs, rhs)
-        if op in ("+", "-", ".*", "./", ".\\", ".^", "==", "~=", "<", ">", "<=", ">="):
-            return ewise.ewise_binary(op, lhs, rhs)
-        if op == "&":
-            return ewise.ewise_binary("and", lhs, rhs)
-        if op == "|":
-            return ewise.ewise_binary("or", lhs, rhs)
-        raise ValueError(f"unknown operator {op!r}")
+        if node.op in _LATTICE_OPS:
+            return getattr(lattice, _LATTICE_OPS[node.op])(lhs, rhs)
+        return ewise.ewise_binary(_EWISE_NAMES.get(node.op, node.op), lhs, rhs)
     if isinstance(node, Call):
         return _call(node, env)
     if isinstance(node, Bracket):
@@ -554,10 +481,7 @@ def evaluate(node, env: Environment):
             return env.tensors[target.name]
         if not all(isinstance(s, IndexSub) for s in target.subs):
             raise SubscriptKindError("assignment subscripts must be index names")
-        handles = [
-            ~env.index(s.name) if s.complemented else env.index(s.name)
-            for s in target.subs
-        ]
+        handles = [_handle(s, env) for s in target.subs]
         result = assign(env.tensors.get(target.name), handles, _as_value_tensor(value))
         env.tensors[target.name] = result
         return result
@@ -570,8 +494,7 @@ def _call(node: Call, env: Environment):
         where = node.args[0]
         operands = [_as_value_tensor(evaluate(a, env)) for a in node.args[1:]]
         if isinstance(where, IndexSub):
-            h = env.index(where.name)
-            return pagewise.concat(~h if where.complemented else h, operands)
+            return pagewise.concat(_handle(where, env), operands)
         if isinstance(where, NumSub):
             return pagewise.concat(int(where.value) - 1, operands)
         raise SubscriptKindError("cat needs an index name or dimension number first")

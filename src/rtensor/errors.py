@@ -50,7 +50,8 @@ class SpecError(EngineError):
 
 
 class DataFileError(EngineError):
-    """A file the demo reads is missing, truncated or malformed; carries the path."""
+    """A file the demo reads is missing, truncated or malformed, or one it
+    writes cannot be written; carries the path."""
 
     def __init__(self, message, path):
         super().__init__(f"{path}: {message}")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimMismatchError, ElementKindError, OperandKindError
 from .indices import IndexHandle
-from .tensor import Tensor
+from .tensor import Tensor, as_element_kind
 
 __all__ = ["AlignmentPlanN", "alignn", "ewise_binary", "ewise_unary", "equal_all"]
 
@@ -31,7 +31,8 @@ class AlignmentPlanN:
 
 
 def _coerce_plain(op) -> np.ndarray:
-    arr = np.asarray(op)
+    """A plain operand as a 2D array of a tensor element kind; 1-D is one row."""
+    arr = as_element_kind(op)
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
     elif arr.ndim == 1:

@@ -14,7 +14,6 @@ group is additionally summed away when it mixed variants (contraction).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,15 +29,13 @@ from .errors import (
 )
 from .indices import IndexHandle, fresh_many
 
-__all__ = ["Tensor", "Shape", "from_array", "with_indices", "assign"]
+__all__ = ["Tensor", "from_array", "with_indices", "assign"]
 
 
-def _as_entries(values) -> np.ndarray:
-    """Coerce input data to one of the three element kinds.
-
-    0-D input becomes 1x1; 1-D input of length n becomes a degree-one payload
-    shaped (1, 1, n), so plain lists read as index-bearing vectors.
-    """
+def as_element_kind(values) -> np.ndarray:
+    """``values`` as an array of one of the three element kinds: boolean,
+    float64 or complex128.  Integers widen to float64; any other dtype raises
+    ``ElementKindError``."""
     arr = np.asarray(values)
     if arr.dtype == np.bool_:
         pass
@@ -48,6 +45,16 @@ def _as_entries(values) -> np.ndarray:
         arr = arr.astype(np.float64, copy=False)
     else:
         raise ElementKindError(f"unsupported element dtype {arr.dtype}")
+    return arr
+
+
+def _as_entries(values) -> np.ndarray:
+    """Coerce input data to one of the three element kinds.
+
+    0-D input becomes 1x1; 1-D input of length n becomes a degree-one payload
+    shaped (1, 1, n), so plain lists read as index-bearing vectors.
+    """
+    arr = as_element_kind(values)
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
     elif arr.ndim == 1:
@@ -61,13 +68,6 @@ def _trimmed_ndim(shape: tuple[int, ...]) -> int:
     while nd > 2 and shape[nd - 1] == 1:
         nd -= 1
     return max(nd, 2)
-
-
-@dataclass(frozen=True)
-class Shape:
-    rows: int
-    cols: int
-    tensor_dims: tuple[int, ...]
 
 
 class Tensor:
@@ -122,14 +122,6 @@ class Tensor:
     @property
     def tensor_dims(self) -> tuple[int, ...]:
         return self.entries.shape[2:]
-
-    @property
-    def shape(self) -> Shape:
-        return Shape(self.rows, self.cols, self.tensor_dims)
-
-    @property
-    def numel(self) -> int:
-        return self.entries.size
 
     @property
     def kind(self) -> str:

@@ -6,7 +6,7 @@ import pytest
 import rtensor.corona.cli as corona_cli
 from rtensor.corona.cli import main as corona_main
 from rtensor.corona.pgm import read_csv, read_mask, read_pgm, write_csv, write_mask, write_pgm
-from rtensor.errors import DataFileError, SpecError
+from rtensor.errors import DataFileError, DimMismatchError, SpecError
 
 
 def test_pgm_roundtrip(tmp_path):
@@ -130,6 +130,25 @@ def test_write_pgm_rejects_non_finite_pixels(tmp_path, bad):
     with pytest.raises(SpecError):
         write_pgm(path, np.array([[0.5, bad]]))
     assert not path.exists()
+
+
+def test_write_pgm_rejects_a_complex_image(tmp_path):
+    path = tmp_path / "img.pgm"
+    with pytest.raises(DimMismatchError):
+        write_pgm(path, np.full((2, 2), 0.5) + 0.5j)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("command", [["synth", "--size", "32"], ["solve", "--max-iter", "1"]])
+def test_unwritable_output_is_reported_with_its_path(tmp_path, capsys, command):
+    scene = tmp_path / "scene"
+    assert corona_main(["synth", "--size", "32", "--out", str(scene)]) == 0
+    blocked = tmp_path / "a_file"
+    blocked.write_text("")
+    if command[0] == "solve":
+        command = command + ["--in", str(scene)]
+    assert corona_main(command + ["--out", str(blocked)]) == 1
+    assert f"error: {blocked}: cannot write" in capsys.readouterr().err
 
 
 def test_solve_reports_a_malformed_csv_with_its_path(tmp_path, capsys):

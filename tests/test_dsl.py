@@ -5,16 +5,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtensor import with_indices
 from rtensor.cli import main as rt_main
 from rtensor.dsl import (
+    Assign,
     Binary,
     Bracket,
+    Call,
+    ColonSub,
     Environment,
     IndexSub,
+    Num,
+    NumSub,
     Postfix,
     TensorRef,
+    Unary,
     evaluate,
     parse,
     print_ast,
@@ -147,6 +155,10 @@ def test_parse_results_pinned():
     ("a\n+", "unexpected token ''", 2, 2),
     ("a(i)\n  $", "unexpected character '$'", 2, 3),
     ("1 +\r\n2 +", "unexpected token ''", 2, 4),
+    # the parent lexer left the column where a comment began (1:5 here)
+    ("a + # note", "unexpected token ''", 1, 11),
+    ("1e999", "number '1e999' is too large", 1, 1),
+    ("a(1, 2e400)", "number '2e400' is too large", 1, 6),
 ])
 def test_parse_errors_pinned(text, message, line, col):
     with pytest.raises(ExprSyntaxError) as err:
@@ -172,11 +184,54 @@ def test_parse_print_roundtrip():
         "isequal(a(i),b(~i))",
         "z(i,~j) = y(~j,i)",
         "u(i,~l) = A(l,lp)\\b(i,lp)",
+        "(-a)'",
+        "(~m(i)).'",
+        "1 .*b",
+        "0.5 .'",
+        "2 ./x(i)+3 .^2",
+        "[(a) (-b)]",
+        "[(a) (b+c)*d; (-e) (+f)]",
     ]
     for text in texts:
         kind1, node1 = parse(text)
         kind2, node2 = parse(print_ast(node1))
         assert kind1 == kind2 and node1 == node2, text
+
+
+_NAMES = st.sampled_from(["a", "b2", "x_y", "Q"])
+_NUMBERS = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+_SUBS = st.one_of(
+    st.builds(IndexSub, _NAMES, st.booleans()), st.builds(NumSub, _NUMBERS), st.just(ColonSub())
+)
+_REFS = st.builds(TensorRef, _NAMES, st.none() | st.lists(_SUBS, min_size=1, max_size=3).map(tuple))
+
+
+def _tuples(inner, max_size=3):
+    return st.lists(inner, min_size=1, max_size=max_size).map(tuple)
+
+
+_EXPRS = st.recursive(
+    st.builds(Num, _NUMBERS) | _REFS,
+    lambda inner: st.one_of(
+        st.builds(Binary, st.sampled_from(
+            ["*", "\\", "/", ".*", "./", ".\\", ".^", "+", "-",
+             "==", "~=", "<", ">", "<=", ">=", "&", "|"]), inner, inner),
+        st.builds(Unary, st.sampled_from(["neg", "pos", "not"]), inner),
+        st.builds(Postfix, st.sampled_from(["'", ".'"]), inner),
+        st.builds(Call, st.sampled_from(["abs", "round", "isequal", "ones"]), _tuples(inner)),
+        st.builds(Call, st.just("cat"), st.tuples(_SUBS, inner, inner)),
+        st.builds(Bracket, _tuples(_tuples(inner))),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(node=_EXPRS, target=_REFS)
+def test_print_ast_roundtrips_random_trees(node, target):
+    assert parse(print_ast(node)) == ("expr", node)
+    assignment = Assign(target, node)
+    assert parse(print_ast(assignment)) == ("assign", assignment)
 
 
 # -- evaluation -----------------------------------------------------------------
@@ -335,6 +390,14 @@ def test_cli_run_exit_codes(tmp_path, capsys):
     bad.write_text("assert 1 == 2\n")
     assert rt_main(["run", str(good)]) == 0
     assert rt_main(["run", str(bad)]) == 1
+
+
+def test_eval_and_run_agree_on_an_empty_assert(tmp_path, capsys):
+    script = tmp_path / "empty_assert.rts"
+    script.write_text("assert zeros(1,0)\n")
+    assert rt_main(["eval", "assert zeros(1,0)"]) == 1
+    assert capsys.readouterr().out == "assert failed\n"
+    assert rt_main(["run", str(script)]) == 1
 
 
 def test_console_script_installed():

@@ -65,6 +65,30 @@ def test_alignn_plain_passthrough_requires_2d():
     assert aligned[0].shape == (2, 3)
 
 
+@pytest.mark.parametrize("plain, kind", [
+    ("ab", None),
+    (np.array([[1, "x"]], dtype=object), None),
+    (np.array([[True, False]]), np.bool_),
+    (np.array([[1, 2]]), np.float64),
+    ([1, 2], np.float64),  # 1-D reads as one row
+    (np.array([[1j, 2]], dtype=np.complex64), np.complex128),
+])
+def test_plain_operands_take_tensor_element_kinds(plain, kind):
+    t = vec([1, 2], fresh())
+    if kind is None:
+        for call in (lambda: ewise_binary("+", plain, t), lambda: ewise_unary("conj", plain),
+                     lambda: equal_all([plain, t])):
+            with pytest.raises(ElementKindError):
+                call()
+        return
+    as_tensor = Tensor(np.atleast_2d(plain))
+    assert alignn([plain])[0][0].dtype == kind
+    np.testing.assert_array_equal(
+        ewise_binary("+", plain, t).entries, ewise_binary("+", as_tensor, t).entries
+    )
+    assert equal_all([plain, as_tensor])
+
+
 # -- binary ----------------------------------------------------------------------
 
 
