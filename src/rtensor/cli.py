@@ -13,7 +13,9 @@ import argparse
 import json
 import sys
 
-from .dsl import Environment, EngineError, _truthy, evaluate, parse, run_script, summarize, to_json_record
+from .dsl import (
+    Environment, EngineError, _truthy, evaluate, parse, run_script, summarize, to_json_record,
+)
 
 
 def _apply_defines(env, defines):
