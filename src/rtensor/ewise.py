@@ -67,8 +67,9 @@ def alignn(operands, *, skip_size_check=()):
     for op in ops:
         if not isinstance(op, Tensor):
             continue
-        for t, h in enumerate(op.indices):
-            n = op.tensor_dims[t]
+        shape = op.entries.shape
+        for t, h in enumerate(op.indices, 2):
+            n = shape[t]
             if h.id in skip_size_check or n == 1:
                 continue
             if sizes.setdefault(h.id, n) != n:
@@ -113,6 +114,12 @@ def ewise_binary(op: str, a, b) -> Tensor:
     """
     aligned, plan = alignn([a, b])
     xa, xb = aligned
+    for na, nb in zip(xa.shape[:2], xb.shape[:2]):
+        if na != nb and na != 1 and nb != 1:
+            raise DimMismatchError(
+                f"matrix dimensions do not broadcast: {xa.shape[0]}x{xa.shape[1]} {op} "
+                f"{xb.shape[0]}x{xb.shape[1]}"
+            )
     if op in _ARITH:
         if xa.dtype == np.bool_:
             xa = xa.astype(np.float64)
@@ -121,10 +128,7 @@ def ewise_binary(op: str, a, b) -> Tensor:
         with np.errstate(divide="ignore", invalid="ignore"):
             out = _ARITH[op](xa, xb)
     elif op in _RELATION:
-        if op in _ORDERED and (
-            np.issubdtype(xa.dtype, np.complexfloating)
-            or np.issubdtype(xb.dtype, np.complexfloating)
-        ):
+        if op in _ORDERED and "c" in (xa.dtype.kind, xb.dtype.kind):
             raise ElementKindError(f"ordered comparison {op!r} undefined for complex values")
         out = _RELATION[op](xa, xb)
     elif op in _LOGICAL:
@@ -132,7 +136,7 @@ def ewise_binary(op: str, a, b) -> Tensor:
                            xb != 0 if xb.dtype != np.bool_ else xb)
     else:
         raise ValueError(f"unknown entrywise operator {op!r}")
-    result = Tensor(out, plan.union_indices)
+    result = Tensor._wrap(out, plan.union_indices)
     if plan.contract_ids:
         result = result.sum(plan.contract_ids)
     return result

@@ -88,19 +88,25 @@ def _numeric(arr: np.ndarray) -> np.ndarray:
     return arr.astype(np.float64) if arr.dtype == np.bool_ else arr
 
 
-def _sizes(t: Tensor, ids) -> list[int]:
-    return [t.entries.shape[t.dim_of(h)] for h in ids]
+def _id_sizes(t: Tensor) -> dict[int, int]:
+    shape = t.entries.shape
+    return {h.id: shape[k] for k, h in enumerate(t.indices, 2)}
 
 
 def _check_matched_sizes(a: Tensor, b: Tensor, plan: AlignmentPlan2):
-    """Inner sizes must agree; page sizes must agree or be 1, which broadcasts."""
-    inner, pages = plan.inner_ids, plan.page_ids
-    for h, na, nb in zip(inner, _sizes(a, inner), _sizes(b, inner)):
+    """Inner sizes must agree; page sizes must agree or be 1, which broadcasts.
+
+    Returns each operand's id -> size map for the result layout."""
+    sa, sb = _id_sizes(a), _id_sizes(b)
+    for h in plan.inner_ids:
+        na, nb = sa[h.id], sb[h.id]
         if na != nb:
             raise DimMismatchError(f"inner index {h!r} has sizes {na} and {nb}")
-    for h, na, nb in zip(pages, _sizes(a, pages), _sizes(b, pages)):
+    for h in plan.page_ids:
+        na, nb = sa[h.id], sb[h.id]
         if na != nb and 1 not in (na, nb):
             raise DimMismatchError(f"page index {h!r} has sizes {na} and {nb}")
+    return sa, sb
 
 
 # Result layouts over five parts (pages, matrix axes of operand A, leftovers
@@ -133,9 +139,9 @@ def product(a, b) -> Tensor:
     a = _as_tensor(a)
     b = _as_tensor(b)
     plan = align2(a.indices, b.indices)
-    _check_matched_sizes(a, b, plan)
+    sa, sb = _check_matched_sizes(a, b, plan)
     if a.cols == b.rows:
-        return _lattice_product(a, b, plan)
+        return _lattice_product(a, b, plan, sa, sb)
     if (a.rows, a.cols) == (1, 1) or (b.rows, b.cols) == (1, 1):
         return _expansion_product(a, b, plan)
     raise DimMismatchError(
@@ -143,7 +149,7 @@ def product(a, b) -> Tensor:
     )
 
 
-def _lattice_product(a: Tensor, b: Tensor, plan: AlignmentPlan2) -> Tensor:
+def _lattice_product(a: Tensor, b: Tensor, plan: AlignmentPlan2, sa, sb) -> Tensor:
     pages = [[h] for h in plan.page_ids]
     # contiguity keeps the batched kernel on its BLAS path
     xa = np.ascontiguousarray(_numeric(
@@ -151,9 +157,9 @@ def _lattice_product(a: Tensor, b: Tensor, plan: AlignmentPlan2) -> Tensor:
     xb = np.ascontiguousarray(_numeric(
         b.fold(pages + [[0, *plan.inner_ids], [1, *plan.right_outer_ids]])))
     out = np.matmul(xa, xb)  # (*pages, rows, cols), one blocked kernel per page
-    parts = [out.shape[:-2], [a.rows], _sizes(a, plan.left_outer_ids),
-             [b.cols], _sizes(b, plan.right_outer_ids)]
-    return Tensor(_unfold(out, parts, _A_FIRST), plan.result_indices)
+    parts = [out.shape[:-2], [a.rows], [sa[h.id] for h in plan.left_outer_ids],
+             [b.cols], [sb[h.id] for h in plan.right_outer_ids]]
+    return Tensor._wrap(_unfold(out, parts, _A_FIRST), plan.result_indices)
 
 
 def _expansion_product(a: Tensor, b: Tensor, plan: AlignmentPlan2) -> Tensor:
@@ -164,14 +170,14 @@ def _expansion_product(a: Tensor, b: Tensor, plan: AlignmentPlan2) -> Tensor:
     n_inner = len(plan.inner_ids)
     if n_inner:
         out = out.sum(axis=tuple(range(out.ndim - n_inner, out.ndim)))
-    return Tensor(out, plan.result_indices)
+    return Tensor._wrap(out, plan.result_indices)
 
 
 # -- division ----------------------------------------------------------------
 
 
 def _complement_all(t: Tensor) -> Tensor:
-    return Tensor(t.entries, tuple(~h for h in t.indices))
+    return Tensor._wrap(t.entries, [~h for h in t.indices])
 
 
 def _page_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -234,11 +240,11 @@ def _solve_common(den: Tensor, num: Tensor, den_left: bool):
     if den_left:
         plan = align2(den.indices, num.indices)
         den_outer, num_outer = plan.left_outer_ids, plan.right_outer_ids
-        _check_matched_sizes(den, num, plan)
+        den_sizes, num_sizes = _check_matched_sizes(den, num, plan)
     else:
         plan = align2(num.indices, den.indices)
         num_outer, den_outer = plan.left_outer_ids, plan.right_outer_ids
-        _check_matched_sizes(num, den, plan)
+        num_sizes, den_sizes = _check_matched_sizes(num, den, plan)
 
     inner, pages = plan.inner_ids, [[h] for h in plan.page_ids]
     if (den.rows, den.cols) == (1, 1) and (num.rows, num.cols) != (1, 1):
@@ -256,11 +262,12 @@ def _solve_common(den: Tensor, num: Tensor, den_left: bool):
     X = _page_solve(A.astype(dtype, copy=False), B.astype(dtype, copy=False))
     # left division: result matrix is (den cols, num cols), right division
     # (num rows, den rows), and a 1x1 denominator's is the numerator's
-    parts = [X.shape[:-2], [den.entries.shape[x] for x in den_free], _sizes(den, den_outer),
-             [num.entries.shape[x] for x in num_free], _sizes(num, num_outer)]
+    parts = [X.shape[:-2], [den.entries.shape[x] for x in den_free],
+             [den_sizes[h.id] for h in den_outer],
+             [num.entries.shape[x] for x in num_free], [num_sizes[h.id] for h in num_outer]]
     if den_left:
-        return Tensor(_unfold(X, parts, _A_FIRST), den_outer + num_outer + plan.page_ids)
-    return Tensor(_unfold(X, parts, _B_FIRST), num_outer + den_outer + plan.page_ids)
+        return Tensor._wrap(_unfold(X, parts, _A_FIRST), den_outer + num_outer + plan.page_ids)
+    return Tensor._wrap(_unfold(X, parts, _B_FIRST), num_outer + den_outer + plan.page_ids)
 
 
 def solve_left(a, b) -> Tensor:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimMismatchError, UnknownIndexError
+from .errors import DimMismatchError, IndexArityError, UnknownIndexError
 from .ewise import alignn
 from .indices import IndexHandle
 from .tensor import Tensor
@@ -34,7 +34,7 @@ def _flip(indices):
 
 def page_transpose(t: Tensor) -> Tensor:
     """Swap rows and columns per page and complement every index variant."""
-    return Tensor(np.swapaxes(t.entries, 0, 1), _flip(t.indices))
+    return Tensor._wrap(np.swapaxes(t.entries, 0, 1), _flip(t.indices))
 
 
 def page_ctranspose(t: Tensor) -> Tensor:
@@ -54,7 +54,7 @@ def page_diag(t: Tensor) -> Tensor:
     """Main diagonal per page as column-vector pages; degree preserved."""
     d = np.diagonal(t.entries, axis1=0, axis2=1)  # (*tensor_dims, min(r, c))
     d = np.moveaxis(d, -1, 0)
-    return Tensor(d.reshape((d.shape[0], 1) + t.tensor_dims), t.indices)
+    return Tensor._wrap(d.reshape((d.shape[0], 1) + t.tensor_dims), t.indices)
 
 
 def _resolve_axis(axis) -> int:
@@ -123,9 +123,14 @@ def concat(where, operands) -> Tensor:
         aligned, plan = alignn(ops)
         ax = _resolve_axis(where)
     if len(ops) == 1:
-        return Tensor(aligned[0], plan.union_indices)
+        return Tensor._wrap(aligned[0], plan.union_indices)
+    if ax >= 2 + len(plan.union_indices):
+        raise IndexArityError(
+            f"concatenation axis {ax + 1} lies beyond the operands' "
+            f"{2 + len(plan.union_indices)} dimensions"
+        )
     joined = page_cat(ax, aligned)
-    result = Tensor(joined, plan.union_indices)
+    result = Tensor._wrap(joined, plan.union_indices)
     if plan.contract_ids:
         result = result.sum(plan.contract_ids)
     return result

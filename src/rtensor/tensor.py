@@ -32,20 +32,20 @@ from .indices import IndexHandle, fresh_many
 __all__ = ["Tensor", "from_array", "with_indices", "assign"]
 
 
+# element dtype kind -> tensor element type; every other kind is rejected
+_ELEMENT_KINDS = {"b": np.bool_, "i": np.float64, "u": np.float64, "f": np.float64,
+                  "c": np.complex128}
+
+
 def as_element_kind(values) -> np.ndarray:
     """``values`` as an array of one of the three element kinds: boolean,
-    float64 or complex128.  Integers widen to float64; any other dtype raises
-    ``ElementKindError``."""
+    float64 or complex128.  Integers widen to float64; any other dtype
+    (timedelta and datetime included) raises ``ElementKindError``."""
     arr = np.asarray(values)
-    if arr.dtype == np.bool_:
-        pass
-    elif np.issubdtype(arr.dtype, np.complexfloating):
-        arr = arr.astype(np.complex128, copy=False)
-    elif np.issubdtype(arr.dtype, np.integer) or np.issubdtype(arr.dtype, np.floating):
-        arr = arr.astype(np.float64, copy=False)
-    else:
+    target = _ELEMENT_KINDS.get(arr.dtype.kind)
+    if target is None:
         raise ElementKindError(f"unsupported element dtype {arr.dtype}")
-    return arr
+    return arr.astype(target, copy=False)
 
 
 def _as_entries(values) -> np.ndarray:
@@ -70,16 +70,36 @@ def _trimmed_ndim(shape: tuple[int, ...]) -> int:
     return max(nd, 2)
 
 
+def _fit(arr: np.ndarray, degree: int) -> np.ndarray:
+    """``arr`` with exactly ``2 + degree`` dimensions: trailing singletons are
+    dropped or added; the caller has checked that no other axis is dropped."""
+    if arr.ndim == 2 + degree:
+        return arr
+    target = arr.shape[:2 + degree]
+    return arr.reshape(target + (1,) * (2 + degree - len(target)))
+
+
+def _seal(t: "Tensor", arr: np.ndarray, indices: tuple) -> None:
+    entries = arr.view()  # a new view, so the flag below is ours
+    entries.flags.writeable = False
+    object.__setattr__(t, "entries", entries)
+    object.__setattr__(t, "indices", indices)
+
+
 class Tensor:
     """Immutable dense tensor value.
 
-    ``entries`` always has ``ndim == 2 + degree``; trailing singleton
-    dimensions are materialized at construction so each index owns one array
-    dimension.  ``entries`` is a read-only view, which may share memory with
-    the array passed in: the caller must not mutate that array afterwards.
-    Duplicate identities in the index list are allowed until
-    :meth:`simplify` runs; the alignment engines simplify their operands on
-    entry.
+    Every tensor keeps one invariant: ``entries`` is a read-only view with
+    ``ndim == 2 + degree`` and a bool, float64 or complex128 dtype.  Trailing
+    singleton dimensions are materialized at construction so each index owns
+    one array dimension.  ``entries`` may share memory with the array passed
+    in: the caller must not mutate that array afterwards.  Duplicate
+    identities in the index list are allowed until :meth:`simplify` runs; the
+    alignment engines simplify their operands on entry.
+
+    The public constructor checks and coerces its input into that invariant.
+    Arrays the engine builds itself already hold it, so the engine wraps them
+    with the private, trusted :meth:`_wrap`, which skips every check.
     """
 
     __slots__ = ("entries", "indices")
@@ -95,12 +115,19 @@ class Tensor:
                 f"{len(idx)} indices cannot address an array with "
                 f"{need} nontrivial tensor dimensions"
             )
-        target = arr.shape[:2] + arr.shape[2:2 + len(idx)]
-        target += (1,) * (2 + len(idx) - len(target))
-        entries = arr.reshape(target)  # a new view, so the flag below is ours
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "indices", idx)
+        _seal(self, _fit(arr, len(idx)), idx)
+
+    @classmethod
+    def _wrap(cls, entries: np.ndarray, indices) -> "Tensor":
+        """The trusted constructor, for arrays the engine built itself.
+
+        ``entries`` must already be bool, float64 or complex128 with
+        ``ndim == 2 + len(indices)``, and ``indices`` IndexHandle values;
+        nothing is checked or coerced.  Only the read-only view is taken.
+        """
+        t = object.__new__(cls)
+        _seal(t, entries, tuple(indices))
+        return t
 
     def __setattr__(self, name, value):  # immutable after construction
         raise AttributeError("Tensor is immutable")
@@ -146,13 +173,14 @@ class Tensor:
         axis of the entries exactly once.  The result is a view whenever the
         permuted layout allows one.
         """
-        dims, dim_of = self.entries.shape, self.dim_of
+        dims = self.entries.shape
+        axis_of = {h.id: t for t, h in enumerate(self.indices, 2)}
         perm: list[int] = []
         shape: list[int] = []
         for group in groups:
             n = 1
             for g in group:
-                axis = g if isinstance(g, int) else dim_of(g)
+                axis = g if isinstance(g, int) else axis_of.get(g.id)
                 if axis is not None:
                     perm.append(axis)
                     n *= dims[axis]
@@ -183,7 +211,7 @@ class Tensor:
             raise IndexArityError(
                 f"need at least {need} subscripts, got {len(subs)}"
             )
-        return Tensor(self.entries, subs).simplify()
+        return Tensor._wrap(_fit(self.entries, len(subs)), subs).simplify()
 
     def slice(self, subs: Sequence) -> np.ndarray:
         """Numeric subscripting, 1-based, delegated to the stored array.
@@ -244,7 +272,7 @@ class Tensor:
             if h.id not in ids:
                 raise UnknownIndexError(f"permute drops index {h!r}")
         arr = self.fold([[0], [1]] + [[h] for h in new_idx])
-        return Tensor(arr, [own.get(h.id, h) for h in new_idx])
+        return Tensor._wrap(arr, [own.get(h.id, h) for h in new_idx])
 
     def sum(self, over: Iterable[IndexHandle]) -> "Tensor":
         """Sum the stored array over matched identities, irrespective of variants."""
@@ -258,6 +286,8 @@ class Tensor:
 
     def simplify(self) -> "Tensor":
         """Attract every repeated identity, then contract groups that mixed variants."""
+        if len({h.id for h in self.indices}) == len(self.indices):
+            return self
         order: list[int] = []
         groups: dict[int, list[int]] = {}
         for t, h in enumerate(self.indices):
@@ -265,8 +295,6 @@ class Tensor:
                 order.append(h.id)
                 groups[h.id] = []
             groups[h.id].append(t)
-        if len(order) == len(self.indices):
-            return self
 
         arr = self.entries
         cur = {t: t + 2 for t in range(len(self.indices))}
@@ -290,7 +318,7 @@ class Tensor:
             removed = [a for a in axes if a != cur[grp[0]]]
             for p, a in cur.items():
                 cur[p] = a - sum(1 for r in removed if r < a)
-        t = Tensor(arr, kept)
+        t = Tensor._wrap(arr, kept)
         if contract:
             t = t.sum(contract)
         return t
@@ -355,7 +383,7 @@ def assign(dst: Tensor | None, subs: Sequence[IndexHandle], src) -> Tensor:
         if own.id not in sub_ids:
             raise UnknownIndexError(f"assignment subscripts do not cover {own!r}")
     permuted = src.permute(subs)
-    return Tensor(permuted.entries, subs)
+    return Tensor._wrap(permuted.entries, subs)
 
 
 # -- operator sugar ---------------------------------------------------------

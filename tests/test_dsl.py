@@ -407,3 +407,14 @@ def test_console_script_installed():
     )
     assert out.returncode == 0
     assert "2" in out.stdout
+
+
+@pytest.mark.parametrize("text", ["ones(2,3) + ones(3,2)", "ones(2,3) < ones(3,2)",
+                                  "ones(2,3) & ones(3,2)"])
+def test_matrix_axes_that_do_not_broadcast_are_reported(tmp_path, capsys, text):
+    assert rt_main(["eval", text]) == 1
+    assert "error: matrix dimensions do not broadcast: 2x3" in capsys.readouterr().err
+    script = tmp_path / "s.rts"
+    script.write_text(text + "\n")
+    assert rt_main(["run", str(script)]) == 1
+    assert "error: matrix dimensions do not broadcast: 2x3" in capsys.readouterr().out

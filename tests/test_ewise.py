@@ -139,6 +139,15 @@ def test_mixed_variant_addition_contracts_after_add():
     assert got.entries.ravel()[0] == (1 + 10) + (2 + 20)
 
 
+@pytest.mark.parametrize("op", ["+", "<", "and"])
+def test_matrix_axes_that_do_not_broadcast_raise(op):
+    with pytest.raises(DimMismatchError, match="2x3 .* 3x2"):
+        ewise_binary(op, Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
+    # a size-1 matrix axis still broadcasts
+    got = ewise_binary(op, Tensor(np.ones((2, 3))), Tensor(np.ones((1, 3))))
+    assert got.entries.shape == (2, 3)
+
+
 def test_division_follows_ieee():
     k = fresh()
     got = ewise_binary("./", vec([1.0, -1.0], k), vec([0.0, 0.0], k))

@@ -8,6 +8,7 @@ from rtensor import Tensor, assign, fresh, fresh_many, from_array, product, with
 from rtensor.errors import (
     BoundsError,
     DimMismatchError,
+    ElementKindError,
     IndexArityError,
     SubscriptKindError,
     UnknownIndexError,
@@ -53,6 +54,25 @@ def test_entries_are_read_only():
         derived.entries[...] = 0.0
     arr[0, 0, 0] = 5.0  # the caller's own array stays writeable
     assert arr.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "dtype, kind",
+    [("b1", np.bool_), ("i1", np.float64), ("u8", np.float64), ("f2", np.float64),
+     ("f4", np.float64), ("f8", np.float64), ("g", np.float64), ("c8", np.complex128),
+     ("c16", np.complex128), ("G", np.complex128)],
+)
+def test_element_kind_of_each_numeric_dtype(dtype, kind):
+    t = Tensor(np.array([[1, 0]], dtype=dtype))
+    assert t.entries.dtype == kind
+    np.testing.assert_array_equal(t.entries, [[1, 0]])
+
+
+@pytest.mark.parametrize("dtype", ["m8[s]", "M8[s]", "U1", "S1", "O", "V8"])
+def test_non_numeric_dtypes_are_rejected(dtype):
+    # timedelta counts as an integer subtype in numpy, but is not a number here
+    with pytest.raises(ElementKindError):
+        Tensor(np.zeros((1, 2), dtype=dtype))
 
 
 def test_with_indices_trailing_dims():
