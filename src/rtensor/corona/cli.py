@@ -26,10 +26,9 @@ from .scene import SceneConfig, make_aberration, make_instance
 
 @contextmanager
 def _writing(out: Path):
-    """Report an OS fault while writing under ``out`` as a DataFileError that
+    """Report an OS fault while writing to ``out`` as a DataFileError that
     names the file (or ``out`` when the fault names none)."""
     try:
-        out.mkdir(parents=True, exist_ok=True)
         yield
     except OSError as exc:
         raise DataFileError(f"cannot write: {exc.strerror or exc}", exc.filename or out) from exc
@@ -40,6 +39,7 @@ def _cmd_synth(args):
     inst = make_instance(cfg)
     out = Path(args.out)
     with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
         write_pgm(out / "source.pgm", inst.source, square=args.square)
         write_pgm(out / "ground_truth.pgm", inst.ground_truth, square=args.square)
         write_mask(out / "mask.pgm", inst.mask)
@@ -64,6 +64,7 @@ def _cmd_solve(args):
     report = optimize(xa, wb, opts)
     out = Path(args.out)
     with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
         write_pgm(out / "corrected.pgm", report.corrected, square=args.square)
         write_csv(out / "phase.csv", report.phi)
         with open(out / "report.csv", "w", newline="") as f:
@@ -88,7 +89,8 @@ def _square_sizes(text):
 
 def _cmd_bench(args):
     rows = benchmark(args.sizes, reps=args.reps)
-    write_bench_csv(rows, args.out)
+    with _writing(Path(args.out)):
+        write_bench_csv(rows, args.out)
     by = {(r.m, r.op): r for r in rows}
     print(
         f"{'size':>6} {'sse':>10} {'sse+grad':>10} {'hmf P=2':>10} {'grad/sse':>9} {'hmf/grad':>9}"

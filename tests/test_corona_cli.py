@@ -151,6 +151,12 @@ def test_unwritable_output_is_reported_with_its_path(tmp_path, capsys, command):
     assert f"error: {blocked}: cannot write" in capsys.readouterr().err
 
 
+def test_bench_to_a_missing_directory_is_reported_with_its_path(tmp_path, capsys):
+    out = tmp_path / "missing" / "b.csv"
+    assert corona_main(["bench", "--sizes", "16", "--reps", "1", "--out", str(out)]) == 1
+    assert f"error: {out}: cannot write" in capsys.readouterr().err
+
+
 def test_solve_reports_a_malformed_csv_with_its_path(tmp_path, capsys):
     scene = tmp_path / "scene"
     assert corona_main(["synth", "--size", "32", "--out", str(scene)]) == 0
