@@ -22,12 +22,11 @@ from .indices import (
     variant,
 )
 from .tensor import Tensor, assign, from_array, with_indices
-from .ewise import AlignmentPlanN, alignn, equal_all, ewise_binary, ewise_unary
-from .lattice import AlignmentPlan2, align2, product, solve_left, solve_right
+from .ewise import alignn, equal_all, ewise_binary, ewise_unary
+from .lattice import align2, product, solve_left, solve_right
 from .pagewise import (
     concat,
     horzcat,
-    page_cat,
     page_ctranspose,
     page_diag,
     page_trace,
@@ -49,12 +48,10 @@ __all__ = [
     "from_array",
     "with_indices",
     "assign",
-    "AlignmentPlanN",
     "alignn",
     "ewise_binary",
     "ewise_unary",
     "equal_all",
-    "AlignmentPlan2",
     "align2",
     "product",
     "solve_left",
@@ -63,7 +60,6 @@ __all__ = [
     "page_ctranspose",
     "page_trace",
     "page_diag",
-    "page_cat",
     "concat",
     "horzcat",
     "vertcat",

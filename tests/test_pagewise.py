@@ -8,7 +8,6 @@ from rtensor import (
     fresh,
     fresh_many,
     horzcat,
-    page_cat,
     page_ctranspose,
     page_diag,
     page_trace,
@@ -16,7 +15,8 @@ from rtensor import (
     vertcat,
     with_indices,
 )
-from rtensor.errors import DimMismatchError, UnknownIndexError
+from rtensor.errors import DimMismatchError, IndexArityError, UnknownIndexError
+from rtensor.pagewise import page_cat
 
 from oracles import selector_concat
 
@@ -215,3 +215,19 @@ def test_vertcat_row_and_ones():
     got = vertcat(b, np.ones((1, 5)))
     assert got.entries.shape[:2] == (2, 5)
     assert got.indices == (~j,)
+
+
+def test_concat_beyond_the_operand_dimensions():
+    i = fresh()
+    with pytest.raises(IndexArityError):
+        concat(3, [vec([1, 2], i), vec([3, 4], i)])
+    # one operand is returned as it is, whatever the axis
+    assert concat(3, [vec([1, 2], i)]).indices == (i,)
+
+
+def test_array_helpers_stay_out_of_the_package_namespace():
+    import rtensor
+
+    for name in ("page_cat", "AlignmentPlan2", "AlignmentPlanN"):
+        assert name not in rtensor.__all__
+        assert not hasattr(rtensor, name)
