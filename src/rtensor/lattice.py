@@ -124,7 +124,7 @@ def _unfold(x: np.ndarray, parts, order) -> np.ndarray:
         axes.append(range(start, start + len(p)))
         start += len(p)
     arr = x.reshape([n for p in parts for n in p])
-    return np.transpose(arr, [k for part in order for k in axes[part]])
+    return arr.transpose([k for part in order for k in axes[part]])
 
 
 def product(a, b) -> Tensor:

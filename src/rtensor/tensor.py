@@ -81,7 +81,7 @@ def _fit(arr: np.ndarray, degree: int) -> np.ndarray:
 
 def _seal(t: "Tensor", arr: np.ndarray, indices: tuple) -> None:
     entries = arr.view()  # a new view, so the flag below is ours
-    entries.flags.writeable = False
+    entries.setflags(write=False)
     object.__setattr__(t, "entries", entries)
     object.__setattr__(t, "indices", indices)
 
