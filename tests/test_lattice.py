@@ -270,6 +270,57 @@ def test_product_matches_loop_oracle_over_all_patterns():
     assert checked == 58
 
 
+def _integer_entries(rng, shape, kind):
+    if kind == "bool":
+        return rng.integers(0, 2, shape).astype(bool)
+    real = rng.integers(-3, 4, shape).astype(float)
+    return real + 1j * rng.integers(-3, 4, shape) if kind == "complex" else real
+
+
+# (rows, cols) and index list of each operand: name, size, variant.  Operands
+# are tens of kilobytes to megabytes, pages last as stored, so packing them
+# takes many slabs; a page of size 1 on one side broadcasts over the other.
+_LARGE_PRODUCTS = {
+    "equal pages": (((48, 40), [("p", 64, True)]), ((40, 24), [("p", 64, True)])),
+    "size-1 page on A": (((48, 40), [("p", 1, True)]), ((40, 24), [("p", 64, True)])),
+    "size-1 page on B": (((48, 40), [("p", 64, True)]), ((40, 24), [("p", 1, True)])),
+    "broadcast next to kept": (
+        ((48, 40), [("p", 8, False), ("q", 1, True)]),
+        ((40, 24), [("q", 16, True), ("p", 8, False)]),
+    ),
+    "broadcast with leftovers and inner": (
+        ((48, 10), [("i", 3, True), ("k", 4, False), ("q", 16, True)]),
+        ((10, 6), [("k", 4, True), ("q", 1, True), ("j", 5, False)]),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", ("bool", "real", "complex"))
+@pytest.mark.parametrize("case", list(_LARGE_PRODUCTS))
+def test_large_product_matches_einsum(case, kind):
+    (a_mat, a_ix), (b_mat, b_ix) = _LARGE_PRODUCTS[case]
+    rng = np.random.default_rng(len(case))
+    handles = {n: fresh() for n, _, _ in a_ix + b_ix}
+    a = _integer_entries(rng, a_mat + tuple(s for _, s, _ in a_ix), kind)
+    b = _integer_entries(rng, b_mat + tuple(s for _, s, _ in b_ix), kind)
+    got = product(with_indices(a, [handles[n] if v else ~handles[n] for n, _, v in a_ix]),
+                  with_indices(b, [handles[n] if v else ~handles[n] for n, _, v in b_ix]))
+    a_names, b_names = [n for n, _, _ in a_ix], [n for n, _, _ in b_ix]
+    left = [n for n in a_names if n not in b_names]
+    right = [n for n in b_names if n not in a_names]
+    pages = [(n, v) for n, _, v in a_ix if (n, v) in {(m, w) for m, _, w in b_ix}]
+    spec = (f"xy{''.join(a_names)},yz{''.join(b_names)}"
+            f"->xz{''.join(left + right + [n for n, _ in pages])}")
+    numeric = [x.astype(float) if x.dtype == bool else x for x in (a, b)]
+    want = np.einsum(spec, *numeric)  # integer-valued: exact in any summation order
+    variant = {n: v for n, _, v in a_ix + b_ix if n in left + right}
+    want_ix = [handles[n] if variant[n] else ~handles[n] for n in left + right]
+    want_ix += [handles[n] if v else ~handles[n] for n, v in pages]
+    assert got.indices == tuple(want_ix)
+    assert got.entries.dtype == want.dtype
+    np.testing.assert_array_equal(got.entries, want)
+
+
 # -- division ----------------------------------------------------------------------
 
 
