@@ -7,10 +7,16 @@ permute-and-reshape (:meth:`Tensor.fold`) into a stack of matrices: one
 leading axis per page index, then rows, then columns.  Outer dimensions fold
 into the rows of the left operand and the columns of the right one, inner
 dimensions fold into the opposing pair, and matrix rows and columns fold in
-as the leading factor of their group.  Pages are never flattened, so a page
-index of size 1 in one operand broadcasts inside the batched matrix multiply
-(or solve) without being copied.  One kernel call then realizes any mixture
-of inner, entrywise, and outer products.
+as the leading factor of their group.  In a product, a page index of size 1
+in one operand and larger in the other is an outer index: it folds into the
+left operand's rows and the right one's columns, after the leftovers, where
+the size-1 side's axis has no effect, and the result moves it back among the
+pages.  The broadcast then costs no batch axis: one matrix multiply serves
+every page, and a pages-last operand often folds to a free reshape.  A fold that is not C-contiguous is packed in
+cache-sized slabs (:meth:`Tensor._packed_fold`).  One kernel call then
+realizes any mixture of inner, entrywise, and outer products.  Divisions keep
+one axis per page index, and a size-1 page broadcasts inside the batched
+solve.
 
 Divisions complement every index of the denominator operand before alignment,
 so writing the denominator with complemented indices relative to the numerator
@@ -109,9 +115,10 @@ def _check_matched_sizes(a: Tensor, b: Tensor, plan: AlignmentPlan2):
     return sa, sb
 
 
-# Result layouts over five parts (pages, matrix axes of operand A, leftovers
-# of A, matrix axes of operand B, leftovers of B): matrix axes, then
-# leftovers, then pages, with A's part before B's or after it.
+# Division result layouts over five parts (pages, matrix axes of the left
+# operand, its leftovers, matrix axes of the right one, its leftovers):
+# matrix axes, then leftovers, then pages, with the first operand's part
+# before the second's or after it.
 _A_FIRST = (1, 3, 2, 4, 0)
 _B_FIRST = (3, 1, 4, 2, 0)
 
@@ -150,16 +157,26 @@ def product(a, b) -> Tensor:
 
 
 def _lattice_product(a: Tensor, b: Tensor, plan: AlignmentPlan2, sa, sb) -> Tensor:
-    pages = [[h] for h in plan.page_ids]
-    # contiguity keeps the batched kernel on its BLAS path
-    xa = np.ascontiguousarray(_numeric(
-        a.fold(pages + [[0, *plan.left_outer_ids], [1, *plan.inner_ids]])))
-    xb = np.ascontiguousarray(_numeric(
-        b.fold(pages + [[0, *plan.inner_ids], [1, *plan.right_outer_ids]])))
-    out = np.matmul(xa, xb)  # (*pages, rows, cols), one blocked kernel per page
-    parts = [out.shape[:-2], [a.rows], [sa[h.id] for h in plan.left_outer_ids],
-             [b.cols], [sb[h.id] for h in plan.right_outer_ids]]
-    return Tensor._wrap(_unfold(out, parts, _A_FIRST), plan.result_indices)
+    lo, ro = plan.left_outer_ids, plan.right_outer_ids
+    # a page of size 1 on one side joins both outer groups after the
+    # leftovers, so the other side's pages fold into one matrix multiply
+    kept = [h for h in plan.page_ids if sa[h.id] == sb[h.id]]
+    spread = [h for h in plan.page_ids if sa[h.id] != sb[h.id]]
+    pages = [[h] for h in kept]
+    xa = a._packed_fold(pages + [[0, *lo, *spread], [1, *plan.inner_ids]])
+    xb = b._packed_fold(pages + [[0, *plan.inner_ids], [1, *ro, *spread]])
+    out = np.matmul(xa, xb)  # (*kept, rows, cols), one blocked kernel per page
+    # split out's axes (kept pages, A's rows group, B's columns group) and
+    # move the spread pages back among the kept ones
+    a_spread = [h for h in spread if sa[h.id] > 1]
+    b_spread = [h for h in spread if sb[h.id] > 1]
+    rows = [a.rows] + [sa[h.id] for h in (*lo, *a_spread)]
+    cols = [b.cols] + [sb[h.id] for h in (*ro, *b_spread)]
+    arr = out.reshape([sa[h.id] for h in kept] + rows + cols)
+    split = [*kept, None, *lo, *a_spread, None, *ro, *b_spread]
+    at = {h.id: k for k, h in enumerate(split) if h is not None}
+    order = [len(kept), len(kept) + len(rows)] + [at[h.id] for h in (*lo, *ro, *plan.page_ids)]
+    return Tensor._wrap(arr.transpose(order), plan.result_indices)
 
 
 def _expansion_product(a: Tensor, b: Tensor, plan: AlignmentPlan2) -> Tensor:

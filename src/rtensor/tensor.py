@@ -79,6 +79,14 @@ def _fit(arr: np.ndarray, degree: int) -> np.ndarray:
     return arr.reshape(target + (1,) * (2 + degree - len(target)))
 
 
+# Source bytes per slab of a packed fold.  numpy copies a transposed view in
+# the destination's order, so its reads stride across the whole source and
+# each cache line is fetched again for every element used from it.  Copied a
+# slab at a time, the lines a slab touches stay in L1/L2 cache until every
+# element of them is used; 16-256 KiB slabs pack equally fast.
+_SLAB_BYTES = 64 * 1024
+
+
 def _seal(t: "Tensor", arr: np.ndarray, indices: tuple) -> None:
     entries = arr.view()  # a new view, so the flag below is ours
     entries.setflags(write=False)
@@ -173,6 +181,37 @@ class Tensor:
         axis of the entries exactly once.  The result is a view whenever the
         permuted layout allows one.
         """
+        permuted, shape = self._permuted(groups)
+        return permuted.reshape(shape)
+
+    def _packed_fold(self, groups: Iterable[Sequence]) -> np.ndarray:
+        """:meth:`fold` as a C-contiguous array for a matrix kernel, with
+        booleans cast to float64 in the same copy.
+
+        A fold that is already C-contiguous (and not boolean) is returned as
+        the view it is.  Any other fold is copied slab by slab along the
+        source's outermost axis in memory.
+        """
+        permuted, shape = self._permuted(groups)
+        dtype = np.float64 if permuted.dtype == np.bool_ else permuted.dtype
+        if permuted.flags.c_contiguous and dtype == permuted.dtype:
+            return permuted.reshape(shape)
+        out = np.empty(permuted.shape, dtype)
+        if permuted.nbytes <= _SLAB_BYTES:
+            out[...] = permuted
+            return out.reshape(shape)
+        stride = [abs(s) if n > 1 else 0 for s, n in zip(permuted.strides, permuted.shape)]
+        q = stride.index(max(stride))
+        step = max(1, _SLAB_BYTES // max(stride[q], 1))
+        lead = (slice(None),) * q
+        for i in range(0, permuted.shape[q], step):
+            slab = lead + (slice(i, i + step),)
+            out[slab] = permuted[slab]
+        return out.reshape(shape)
+
+    def _permuted(self, groups) -> tuple[np.ndarray, list[int]]:
+        """The fold plan: entries transposed so each group's axes are
+        adjacent and in order (a view), and the fused shape."""
         dims = self.entries.shape
         axis_of = {h.id: t for t, h in enumerate(self.indices, 2)}
         perm: list[int] = []
@@ -185,7 +224,7 @@ class Tensor:
                     perm.append(axis)
                     n *= dims[axis]
             shape.append(n)
-        return self.entries.transpose(perm).reshape(shape)
+        return self.entries.transpose(perm), shape
 
     def __repr__(self) -> str:
         dims = "x".join(str(d) for d in self.entries.shape)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -319,6 +320,22 @@ def test_large_product_matches_einsum(case, kind):
     assert got.indices == tuple(want_ix)
     assert got.entries.dtype == want.dtype
     np.testing.assert_array_equal(got.entries, want)
+
+
+def test_broadcast_page_product_allocates_only_its_result():
+    # the size-1 page joins the outer groups, so Y (pages last) folds to
+    # a view and nothing but the result is allocated
+    p = fresh()
+    rng = np.random.default_rng(8)
+    x = with_indices(rng.standard_normal((64, 64, 1)), [p])
+    y = with_indices(rng.standard_normal((64, 64, 32)), [p])
+    tracemalloc.start()
+    try:
+        got = product(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * got.entries.nbytes
 
 
 # -- division ----------------------------------------------------------------------
