@@ -62,7 +62,11 @@ def _resolve_axis(axis) -> int:
         return 0
     if axis == "cols":
         return 1
-    if isinstance(axis, (int, np.integer)) and axis >= 0:
+    if isinstance(axis, (int, np.integer)):
+        if axis < 0:
+            raise IndexArityError(
+                f"concatenation axis {axis + 1} lies before the first dimension"
+            )
         return int(axis)
     raise ValueError(f"invalid concatenation axis {axis!r}")
 

@@ -418,3 +418,8 @@ def test_matrix_axes_that_do_not_broadcast_are_reported(tmp_path, capsys, text):
     script.write_text(text + "\n")
     assert rt_main(["run", str(script)]) == 1
     assert "error: matrix dimensions do not broadcast: 2x3" in capsys.readouterr().out
+
+
+def test_cat_along_dimension_zero_is_reported(capsys):
+    assert rt_main(["eval", "cat(0, ones(2), ones(2))"]) == 1
+    assert "error: concatenation axis 0 lies before the first dimension" in capsys.readouterr().err

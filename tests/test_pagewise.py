@@ -225,6 +225,13 @@ def test_concat_beyond_the_operand_dimensions():
     assert concat(3, [vec([1, 2], i)]).indices == (i,)
 
 
+def test_concat_before_the_first_dimension():
+    i = fresh()
+    for operands in ([vec([1, 2], i), vec([3, 4], i)], [vec([1, 2], i)]):
+        with pytest.raises(IndexArityError, match="axis 0 lies before"):
+            concat(-1, operands)
+
+
 def test_array_helpers_stay_out_of_the_package_namespace():
     import rtensor
 
