@@ -319,7 +319,8 @@ class Tensor:
         axes = tuple(t + 2 for t, h in enumerate(self.indices) if h.id in over_ids)
         if not axes:
             return self
-        arr = self.entries.sum(axis=axes)
+        with np.errstate(invalid="ignore", over="ignore"):  # as the entrywise step
+            arr = self.entries.sum(axis=axes)
         kept = [h for h in self.indices if h.id not in over_ids]
         return Tensor(arr, kept)
 
