@@ -397,9 +397,9 @@ def from_array(values) -> tuple[Tensor, list[IndexHandle]]:
     The tensor may share memory with ``values``; do not mutate ``values``
     afterwards.
     """
-    arr = _as_entries(values)
+    arr = _as_entries(values)  # ndim >= 2, one fresh index per axis after the second
     idx = fresh_many(max(arr.ndim - 2, 0))
-    return Tensor(arr, idx), idx
+    return Tensor._wrap(arr, idx), idx
 
 
 def with_indices(values, idx: Sequence[IndexHandle]) -> Tensor:

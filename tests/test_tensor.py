@@ -56,6 +56,20 @@ def test_entries_are_read_only():
     assert arr.flags.writeable
 
 
+@pytest.mark.parametrize("dtype, kind", [(bool, np.bool_), (np.int64, np.float64),
+                                         (np.complex128, np.complex128)])
+@pytest.mark.parametrize("shape", [(), (4,), (2, 3), (2, 3, 4)])
+def test_from_array_keeps_the_layout_invariant(shape, dtype, kind):
+    arr = np.arange(int(np.prod(shape))).reshape(shape).astype(dtype)
+    t, idx = from_array(arr)
+    assert t.indices == tuple(idx)
+    assert t.entries.ndim == 2 + t.degree
+    assert t.entries.dtype == kind
+    assert not t.entries.flags.writeable
+    np.testing.assert_array_equal(t.entries.ravel(), arr.ravel())
+    assert arr.flags.writeable
+
+
 @pytest.mark.parametrize(
     "dtype, kind",
     [("b1", np.bool_), ("i1", np.float64), ("u8", np.float64), ("f2", np.float64),
