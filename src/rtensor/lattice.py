@@ -12,11 +12,11 @@ in one operand and larger in the other is an outer index: it folds into the
 left operand's rows and the right one's columns, after the leftovers, where
 the size-1 side's axis has no effect, and the result moves it back among the
 pages.  The broadcast then costs no batch axis: one matrix multiply serves
-every page, and a pages-last operand often folds to a free reshape.  A fold that is not C-contiguous is packed in
-cache-sized slabs (:meth:`Tensor._packed_fold`).  One kernel call then
-realizes any mixture of inner, entrywise, and outer products.  Divisions keep
-one axis per page index, and a size-1 page broadcasts inside the batched
-solve.
+every page, and a pages-last operand often folds to a free reshape.  A fold
+that is not C-contiguous is packed in cache-sized slabs
+(:meth:`Tensor._packed_fold`).  One kernel call then realizes any mixture of
+inner, entrywise, and outer products.  Divisions keep one axis per page
+index, and a size-1 page broadcasts inside the batched solve.
 
 Divisions complement every index of the denominator operand before alignment,
 so writing the denominator with complemented indices relative to the numerator
