@@ -211,8 +211,12 @@ def loop_ewise(fn, ae, ai, be, bi):
     return out, kept
 
 
-def selector_concat(ops, where_id):
-    """Index concatenation built from the piecewise selector construction."""
+def selector_concat(ops, where):
+    """Concatenation built from the piecewise selector construction.
+
+    ``where`` is the id of the concatenation index, or ``"rows"``/``"cols"``
+    for a matrix axis.
+    """
     union = []
     seen = set()
     for _, indices in ops:
@@ -227,26 +231,46 @@ def selector_concat(ops, where_id):
                 return entries.shape[t + 2]
         return 1
 
-    j_sizes = [dim_of(e, idx, next(h for h in union if h.id == where_id)) for e, idx in ops]
+    matrix_axis = {"rows": 0, "cols": 1}.get(where)
+    if matrix_axis is None:
+        j_sizes = [dim_of(e, idx, next(h for h in union if h.id == where)) for e, idx in ops]
+    else:
+        j_sizes = [e.shape[matrix_axis] for e, _ in ops]
     dims = []
     for h in union:
-        if h.id == where_id:
+        if h.id == where:
             dims.append(sum(j_sizes))
         else:
             dims.append(max(dim_of(e, idx, h) for e, idx in ops))
     rows = max(e.shape[0] for e, _ in ops)
     cols = max(e.shape[1] for e, _ in ops)
-    out = np.zeros([rows, cols] + dims)
+    if matrix_axis == 0:
+        rows = sum(j_sizes)
+    elif matrix_axis == 1:
+        cols = sum(j_sizes)
+    out = np.zeros([rows, cols] + dims, dtype=np.result_type(*(e for e, _ in ops)))
     offsets = np.cumsum([0] + j_sizes)
+
+    def piece(j):  # operand holding position j of the joined axis, and j within it
+        k = int(np.searchsorted(offsets, j, side="right")) - 1
+        return k, j - offsets[k]
+
     for vals in itertools.product(*(range(d) for d in dims)):
         assign_map = {h.id: v for h, v in zip(union, vals)}
-        j = assign_map[where_id]
-        k = int(np.searchsorted(offsets, j, side="right")) - 1
-        assign_map[where_id] = j - offsets[k]
-        entries, indices = ops[k]
         for r in range(rows):
             for c in range(cols):
-                out[(r, c) + vals] = _value_at(entries, indices, assign_map, r, c)
+                at = dict(assign_map)
+                if matrix_axis == 0:
+                    k, rr = piece(r)
+                    cc = c
+                elif matrix_axis == 1:
+                    k, cc = piece(c)
+                    rr = r
+                else:
+                    k, at[where] = piece(assign_map[where])
+                    rr, cc = r, c
+                entries, indices = ops[k]
+                out[(r, c) + vals] = _value_at(entries, indices, at, rr, cc)
     return out, union
 
 

@@ -322,6 +322,46 @@ def test_large_product_matches_einsum(case, kind):
     np.testing.assert_array_equal(got.entries, want)
 
 
+# A 1x1 operand scales the other one's 48x40 pages; k is summed, and the page
+# p has size 1 on the 1x1 side.  Names, sizes and variants as above.
+_LARGE_SCALINGS = {
+    "1x1 on the left": (
+        ((1, 1), [("k", 8, True), ("p", 1, True), ("i", 3, False)]),
+        ((48, 40), [("p", 16, True), ("k", 8, False)]),
+    ),
+    "1x1 on the right": (
+        ((48, 40), [("p", 16, True), ("k", 8, True)]),
+        ((1, 1), [("j", 3, True), ("k", 8, False), ("p", 1, True)]),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", ("bool", "real", "complex"))
+@pytest.mark.parametrize("case", list(_LARGE_SCALINGS))
+def test_large_scaling_product_matches_einsum(case, kind):
+    (a_mat, a_ix), (b_mat, b_ix) = _LARGE_SCALINGS[case]
+    rng = np.random.default_rng(len(case))
+    handles = {n: fresh() for n, _, _ in a_ix + b_ix}
+    a = _integer_entries(rng, a_mat + tuple(s for _, s, _ in a_ix), kind)
+    b = _integer_entries(rng, b_mat + tuple(s for _, s, _ in b_ix), kind)
+    got = product(with_indices(a, [handles[n] if v else ~handles[n] for n, _, v in a_ix]),
+                  with_indices(b, [handles[n] if v else ~handles[n] for n, _, v in b_ix]))
+    a_names, b_names = [n for n, _, _ in a_ix], [n for n, _, _ in b_ix]
+    left = [n for n in a_names if n not in b_names]
+    right = [n for n in b_names if n not in a_names]
+    # the 1x1 side's matrix axes are summed away at size 1
+    a_mat_spec, b_mat_spec = ("uv", "xz") if a_mat == (1, 1) else ("xz", "uv")
+    spec = (f"{a_mat_spec}{''.join(a_names)},{b_mat_spec}{''.join(b_names)}"
+            f"->xz{''.join(left + right)}p")
+    numeric = [x.astype(float) if x.dtype == bool else x for x in (a, b)]
+    want = np.einsum(spec, *numeric)  # integer-valued: exact in any summation order
+    variant = {n: v for n, _, v in a_ix + b_ix}
+    want_ix = [handles[n] if variant[n] else ~handles[n] for n in left + right + ["p"]]
+    assert got.indices == tuple(want_ix)
+    assert got.entries.dtype == want.dtype
+    np.testing.assert_array_equal(got.entries, want)
+
+
 def test_broadcast_page_product_allocates_only_its_result():
     # the size-1 page joins the outer groups, so Y (pages last) folds to
     # a view and nothing but the result is allocated
@@ -455,6 +495,57 @@ def test_solve_right_with_matrix_numerator_blocks():
     assert u.indices == (~l,)
     recon = product(u, scal(A_data, [l, lp]).reindex([l, lp]))
     np.testing.assert_allclose(recon.entries, b_data, rtol=1e-10)
+
+
+def _system(rng, shape, kind):
+    """Well-conditioned denominator pages: random entries plus a diagonal."""
+    a = _integer_entries(rng, shape, kind) + 0.1 * rng.standard_normal(shape)
+    rows = np.arange(min(shape[:2]))
+    a[rows, rows] += 3 * shape[0]
+    return a
+
+
+# side, denominator pages (equations x unknowns), numerator block width, and
+# the page sizes of denominator and numerator.  Pages last as stored, so the
+# folds move the pages to the front and take several 64 KiB slabs.
+_LARGE_DIVISIONS = {
+    "square left": ("left", (24, 24), 16, 128, 128),
+    "square right": ("right", (24, 24), 16, 128, 128),
+    "tall left": ("left", (40, 24), 8, 64, 64),
+    "size-1 page on the denominator": ("left", (24, 24), 16, 1, 128),
+    "size-1 page on the numerator": ("right", (24, 24), 16, 128, 1),
+}
+
+
+@pytest.mark.parametrize("kinds", [(d, n) for d in ("real", "complex")
+                                   for n in ("real", "complex", "bool")])
+@pytest.mark.parametrize("case", list(_LARGE_DIVISIONS))
+def test_large_division_matches_per_page_linalg(case, kinds):
+    side, (m, k), w, pa, pb = _LARGE_DIVISIONS[case]
+    rng = np.random.default_rng(len(case))
+    p = fresh()
+    den = _system(rng, (m, k, pa), kinds[0])
+    num = _integer_entries(rng, (m, w, pb), kinds[1])
+    # pages first and numeric, for numpy's batched solvers
+    A, B = (np.moveaxis(x, -1, 0) for x in (den, num.astype(np.result_type(num, float))))
+    if side == "left":
+        got = solve_left(with_indices(den, [~p]), with_indices(num, [p]))
+    else:  # u D = N per page, with D = den^T and N = num^T
+        got = solve_right(with_indices(np.swapaxes(num, 0, 1), [p]),
+                          with_indices(np.swapaxes(den, 0, 1), [~p]))
+    pages = max(pa, pb)
+    A = np.broadcast_to(A, (pages, m, k))
+    B = np.broadcast_to(B, (pages, m, w))
+    if m == k:
+        X = np.linalg.solve(A, B)
+    else:
+        X = np.stack([np.linalg.lstsq(A[q], B[q], rcond=None)[0] for q in range(pages)])
+    want = np.moveaxis(X, 0, -1)  # (k, w, pages)
+    if side == "right":
+        want = np.swapaxes(want, 0, 1)
+    assert got.indices == (p,)
+    assert got.entries.dtype == np.result_type(den, num, np.float64)
+    np.testing.assert_allclose(got.entries, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
 
 
 def test_underdetermined_rejected():
