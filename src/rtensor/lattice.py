@@ -2,21 +2,26 @@
 
 A matched identity with complementary variants names an inner product, a
 matched identity with equal variants names an entrywise (page) pairing, and an
-unmatched identity names an outer pairing.  Each operand folds by
-permute-and-reshape (:meth:`Tensor.fold`) into a stack of matrices: one
-leading axis per page index, then rows, then columns.  Outer dimensions fold
-into the rows of the left operand and the columns of the right one, inner
-dimensions fold into the opposing pair, and matrix rows and columns fold in
-as the leading factor of their group.  In a product, a page index of size 1
+unmatched identity names an outer pairing.  Product and division run one
+pipeline.  Each operand folds into a C-contiguous stack of matrices
+(:meth:`Tensor._packed_fold`, which copies a strided fold in cache-sized slabs
+and casts booleans to reals in the same copy); one kernel call (``matmul``,
+LU or QR) serves every page; and :func:`_unfold` splits the kernel's output
+into named axes and moves them into the result's order.
+
+A fold has one leading axis per page index, then rows, then columns.  Outer
+dimensions fold into the rows of the left operand and the columns of the
+right one, inner dimensions fold into the opposing pair, and matrix rows and
+columns fold in as the leading factor of their group.  A 1x1 operand's matrix
+axes fold into its summed (product) or equation (division) group as size-1
+axes, and the other operand's rows and columns join its outer group, so
+scaling runs through the same kernel.  In a product, a page index of size 1
 in one operand and larger in the other is an outer index: it folds into the
 left operand's rows and the right one's columns, after the leftovers, where
-the size-1 side's axis has no effect, and the result moves it back among the
-pages.  The broadcast then costs no batch axis: one matrix multiply serves
-every page, and a pages-last operand often folds to a free reshape.  A fold
-that is not C-contiguous is packed in cache-sized slabs
-(:meth:`Tensor._packed_fold`).  One kernel call then realizes any mixture of
-inner, entrywise, and outer products.  Divisions keep one axis per page
-index, and a size-1 page broadcasts inside the batched solve.
+the size-1 side's axis has no effect.  The broadcast then costs no batch
+axis, and a pages-last operand often folds to a free reshape.  Divisions keep
+one axis per page index, and a size-1 page broadcasts inside the batched
+solve.
 
 Divisions complement every index of the denominator operand before alignment,
 so writing the denominator with complemented indices relative to the numerator
@@ -90,10 +95,6 @@ def _as_tensor(op) -> Tensor:
     return Tensor(op)
 
 
-def _numeric(arr: np.ndarray) -> np.ndarray:
-    return arr.astype(np.float64) if arr.dtype == np.bool_ else arr
-
-
 def _id_sizes(t: Tensor) -> dict[int, int]:
     shape = t.entries.shape
     return {h.id: shape[k] for k, h in enumerate(t.indices, 2)}
@@ -115,23 +116,17 @@ def _check_matched_sizes(a: Tensor, b: Tensor, plan: AlignmentPlan2):
     return sa, sb
 
 
-# Division result layouts over five parts (pages, matrix axes of the left
-# operand, its leftovers, matrix axes of the right one, its leftovers):
-# matrix axes, then leftovers, then pages, with the first operand's part
-# before the second's or after it.
-_A_FIRST = (1, 3, 2, 4, 0)
-_B_FIRST = (3, 1, 4, 2, 0)
+# The product's kernel.  Like the entrywise operations and Tensor.sum it is
+# silent where inf meets 0 or -inf: those entries are NaN.
+_matmul = np.errstate(invalid="ignore", over="ignore")(np.matmul)
 
 
-def _unfold(x: np.ndarray, parts, order) -> np.ndarray:
-    """Split ``x``'s axes into consecutive ``parts`` (one shape list each)
-    and transpose the parts into ``order``."""
-    axes, start = [], 0
-    for p in parts:
-        axes.append(range(start, start + len(p)))
-        start += len(p)
-    arr = x.reshape([n for p in parts for n in p])
-    return arr.transpose([k for part in order for k in axes[part]])
+def _unfold(x: np.ndarray, axes, order) -> np.ndarray:
+    """Split ``x`` into named axes, given as ``(key, size)`` pairs in its
+    memory order, and transpose them into ``order``.  A key is an index id,
+    or ``"r"``/``"c"`` for the result's rows/cols."""
+    at = {key: k for k, (key, _) in enumerate(axes)}
+    return x.reshape([n for _, n in axes]).transpose([at[key] for key in order])
 
 
 def product(a, b) -> Tensor:
@@ -147,47 +142,35 @@ def product(a, b) -> Tensor:
     b = _as_tensor(b)
     plan = align2(a.indices, b.indices)
     sa, sb = _check_matched_sizes(a, b, plan)
+    # matrix axes of each operand's outer and summed groups
     if a.cols == b.rows:
-        return _lattice_product(a, b, plan, sa, sb)
-    if (a.rows, a.cols) == (1, 1) or (b.rows, b.cols) == (1, 1):
-        return _expansion_product(a, b, plan)
-    raise DimMismatchError(
-        f"matrix dimensions do not conform: {a.rows}x{a.cols} * {b.rows}x{b.cols}"
-    )
-
-
-def _lattice_product(a: Tensor, b: Tensor, plan: AlignmentPlan2, sa, sb) -> Tensor:
-    lo, ro = plan.left_outer_ids, plan.right_outer_ids
+        a_out, a_sum, b_sum, b_out = [0], [1], [0], [1]
+    elif (a.rows, a.cols) == (1, 1):  # a 1x1 operand scales: its axes sum at size 1
+        a_out, a_sum, b_sum, b_out = [], [0, 1], [], [0, 1]
+    elif (b.rows, b.cols) == (1, 1):
+        a_out, a_sum, b_sum, b_out = [0, 1], [], [0, 1], []
+    else:
+        raise DimMismatchError(
+            f"matrix dimensions do not conform: {a.rows}x{a.cols} * {b.rows}x{b.cols}"
+        )
+    lo, ro, inner = plan.left_outer_ids, plan.right_outer_ids, plan.inner_ids
     # a page of size 1 on one side joins both outer groups after the
     # leftovers, so the other side's pages fold into one matrix multiply
     kept = [h for h in plan.page_ids if sa[h.id] == sb[h.id]]
-    spread = [h for h in plan.page_ids if sa[h.id] != sb[h.id]]
+    a_spread = [h for h in plan.page_ids if sa[h.id] > sb[h.id]]
+    b_spread = [h for h in plan.page_ids if sa[h.id] < sb[h.id]]
+    spread = a_spread + b_spread
     pages = [[h] for h in kept]
-    xa = a._packed_fold(pages + [[0, *lo, *spread], [1, *plan.inner_ids]])
-    xb = b._packed_fold(pages + [[0, *plan.inner_ids], [1, *ro, *spread]])
-    out = np.matmul(xa, xb)  # (*kept, rows, cols), one blocked kernel per page
-    # split out's axes (kept pages, A's rows group, B's columns group) and
-    # move the spread pages back among the kept ones
-    a_spread = [h for h in spread if sa[h.id] > 1]
-    b_spread = [h for h in spread if sb[h.id] > 1]
-    rows = [a.rows] + [sa[h.id] for h in (*lo, *a_spread)]
-    cols = [b.cols] + [sb[h.id] for h in (*ro, *b_spread)]
-    arr = out.reshape([sa[h.id] for h in kept] + rows + cols)
-    split = [*kept, None, *lo, *a_spread, None, *ro, *b_spread]
-    at = {h.id: k for k, h in enumerate(split) if h is not None}
-    order = [len(kept), len(kept) + len(rows)] + [at[h.id] for h in (*lo, *ro, *plan.page_ids)]
-    return Tensor._wrap(arr.transpose(order), plan.result_indices)
-
-
-def _expansion_product(a: Tensor, b: Tensor, plan: AlignmentPlan2) -> Tensor:
-    # one operand is a 1x1 matrix: entrywise scaling plus summation over inner dims
-    order = plan.left_outer_ids + plan.right_outer_ids + plan.page_ids + plan.inner_ids
-    groups = [[0], [1]] + [[h] for h in order]
-    out = _numeric(a.fold(groups)) * _numeric(b.fold(groups))
-    n_inner = len(plan.inner_ids)
-    if n_inner:
-        out = out.sum(axis=tuple(range(out.ndim - n_inner, out.ndim)))
-    return Tensor._wrap(out, plan.result_indices)
+    xa = a._packed_fold(pages + [[*a_out, *lo, *spread], [*a_sum, *inner]])
+    xb = b._packed_fold(pages + [[*b_sum, *inner], [*b_out, *ro, *spread]])
+    out = _matmul(xa, xb)  # (*kept, rows, cols), one blocked kernel per page
+    # out's axes: kept pages, A's outer group, B's outer group
+    da, db = a.entries.shape, b.entries.shape
+    axes = ([(h.id, sa[h.id]) for h in kept]
+            + [("rc"[x], da[x]) for x in a_out] + [(h.id, sa[h.id]) for h in (*lo, *a_spread)]
+            + [("rc"[x], db[x]) for x in b_out] + [(h.id, sb[h.id]) for h in (*ro, *b_spread)])
+    order = ["r", "c"] + [h.id for h in plan.result_indices]
+    return Tensor._wrap(_unfold(out, axes, order), plan.result_indices)
 
 
 # -- division ----------------------------------------------------------------
@@ -250,9 +233,11 @@ def _solve_common(den: Tensor, num: Tensor, den_left: bool):
     rows and (free-matrix-dim, denominator leftovers) into columns; the
     numerator folds likewise with its leftovers as right-hand-side blocks.
     For left division the equation matrix dimension is the rows, for right
-    division the columns.  A 1x1 denominator scales entrywise, in which case
-    the numerator's rows and columns ride along as block dimensions.  Pages
-    lead both folds, one axis per page index, and broadcast in the solve.
+    division the columns.  A 1x1 denominator scales entrywise: its matrix
+    axes join the equations at size 1, and the numerator's rows and columns
+    ride along as block dimensions.  Pages lead both folds, one axis per page
+    index, and broadcast in the solve; ``np.linalg`` promotes a real/complex
+    pair by itself.
     """
     if den_left:
         plan = align2(den.indices, num.indices)
@@ -269,22 +254,22 @@ def _solve_common(den: Tensor, num: Tensor, den_left: bool):
     else:
         eq, free = (0, 1) if den_left else (1, 0)
         den_eq, den_free, num_eq, num_free = [eq], [free], [eq], [free]
-    A = den.fold(pages + [[*den_eq, *inner], [*den_free, *den_outer]])
-    B = num.fold(pages + [[*num_eq, *inner], [*num_free, *num_outer]])
+    A = den._packed_fold(pages + [[*den_eq, *inner], [*den_free, *den_outer]])
+    B = num._packed_fold(pages + [[*num_eq, *inner], [*num_free, *num_outer]])
     if A.shape[-2] != B.shape[-2]:
         raise DimMismatchError(
             f"equation counts disagree: {A.shape[-2]} vs {B.shape[-2]}"
         )
-    dtype = np.result_type(A.dtype, B.dtype, np.float64)  # booleans solve as reals
-    X = _page_solve(A.astype(dtype, copy=False), B.astype(dtype, copy=False))
+    X = _page_solve(A, B)
     # left division: result matrix is (den cols, num cols), right division
     # (num rows, den rows), and a 1x1 denominator's is the numerator's
-    parts = [X.shape[:-2], [den.entries.shape[x] for x in den_free],
-             [den_sizes[h.id] for h in den_outer],
-             [num.entries.shape[x] for x in num_free], [num_sizes[h.id] for h in num_outer]]
-    if den_left:
-        return Tensor._wrap(_unfold(X, parts, _A_FIRST), den_outer + num_outer + plan.page_ids)
-    return Tensor._wrap(_unfold(X, parts, _B_FIRST), num_outer + den_outer + plan.page_ids)
+    dd, dn = den.entries.shape, num.entries.shape
+    axes = ([(h.id, n) for h, n in zip(plan.page_ids, X.shape[:-2])]
+            + [("cr"[x], dd[x]) for x in den_free] + [(h.id, den_sizes[h.id]) for h in den_outer]
+            + [("rc"[x], dn[x]) for x in num_free] + [(h.id, num_sizes[h.id]) for h in num_outer])
+    first, second = (den_outer, num_outer) if den_left else (num_outer, den_outer)
+    indices = first + second + plan.page_ids
+    return Tensor._wrap(_unfold(X, axes, ["r", "c"] + [h.id for h in indices]), indices)
 
 
 def solve_left(a, b) -> Tensor:

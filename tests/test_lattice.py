@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -199,6 +200,28 @@ def test_euclidean_norm_via_ctranspose():
     got = product(page_ctranspose(t), t)
     assert got.degree == 0
     np.testing.assert_allclose(got.entries.ravel()[0], (np.abs(x) ** 2).sum(), rtol=1e-13)
+
+
+@pytest.mark.parametrize("case", ["1x1 inf scales zeros", "inf meets zeros in a matrix multiply",
+                                  "1x1 scaling sums inf and -inf"])
+def test_product_is_silent_on_non_finite_entries(case):
+    # inf * 0 and inf - inf give NaN without a RuntimeWarning, as the
+    # entrywise operations and the contractions do
+    k = fresh()
+    a, b, want = {
+        "1x1 inf scales zeros": (
+            Tensor(np.array([[np.inf]])), Tensor(np.zeros((2, 2))), np.full((2, 2), np.nan)),
+        "inf meets zeros in a matrix multiply": (
+            Tensor(np.array([[np.inf, 0.0], [0.0, 1.0]])), Tensor(np.zeros((2, 2))),
+            np.array([[np.nan, np.nan], [0.0, 0.0]])),
+        "1x1 scaling sums inf and -inf": (
+            vec([np.inf, -np.inf], k), with_indices(np.ones((2, 2, 2)), [~k]),
+            np.full((2, 2), np.nan)),
+    }[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = product(a, b)
+    np.testing.assert_array_equal(got.entries, want)
 
 
 def test_product_page_size_mismatch():
