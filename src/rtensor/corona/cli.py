@@ -72,8 +72,7 @@ def _cmd_solve(args):
             writer.writerow(["step", "sse", "grad_inf_norm", "secs"])
             for k, e in enumerate(report.sse_trajectory):
                 writer.writerow(
-                    [k, f"{e:.9e}", f"{report.grad_norms[k]:.9e}",
-                     f"{report.wall_times[min(k, len(report.wall_times) - 1)]:.6f}"]
+                    [k, f"{e:.9e}", f"{report.grad_norms[k]:.9e}", f"{report.wall_times[k]:.6f}"]
                 )
     first, last = report.sse_trajectory[0], report.sse_trajectory[-1]
     print(

@@ -42,6 +42,10 @@ class TrustRegionOptions:
 
 @dataclass
 class OptReport:
+    """The solver's result.  ``sse_trajectory``, ``grad_norms`` and
+    ``wall_times`` hold the start and each accepted step; ``radii`` the start
+    and every iteration."""
+
     iterations: int
     sse_trajectory: list[float]
     grad_norms: list[float]
@@ -148,8 +152,8 @@ def optimize(xa, wb, options: TrustRegionOptions | None = None) -> OptReport:
             state = trial
             trajectory.append(state.e)
             grad_norms.append(float(np.abs(state.grad).max()))
+            wall.append(time.perf_counter() - start)
         it += 1
-        wall.append(time.perf_counter() - start)
         radii.append(radius)
         if opts.verbose:
             print(

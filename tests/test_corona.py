@@ -293,6 +293,15 @@ def test_optimize_shrinks_radius_on_nan_ratio(monkeypatch):
     assert all(b < a for a, b in zip(report.radii, report.radii[1:]))
 
 
+def test_wall_times_follow_the_accepted_steps():
+    # 35 of the 40 steps are accepted on this scene
+    inst = make_instance(SceneConfig(size=32, seed=1))
+    report = optimize(inst.aberrated, inst.mask, TrustRegionOptions(max_iter=40))
+    assert len(report.sse_trajectory) < report.iterations + 1
+    assert len(report.wall_times) == len(report.sse_trajectory)
+    assert report.wall_times == sorted(report.wall_times)
+
+
 # -- non-finite inputs -----------------------------------------------------------------
 
 

@@ -62,6 +62,19 @@ def test_synth_and_solve_pipeline(tmp_path):
     assert all(b <= a for a, b in zip(sses, sses[1:]))
 
 
+def test_solve_report_times_each_accepted_step(tmp_path, capsys):
+    scene = tmp_path / "scene"
+    assert corona_main(["synth", "--size", "32", "--seed", "1", "--out", str(scene)]) == 0
+    out = tmp_path / "solved"
+    assert corona_main(["solve", "--in", str(scene), "--max-iter", "40", "--out", str(out)]) == 0
+    iterations = int(capsys.readouterr().out.split(" iterations")[0].split()[-1])
+    with open(out / "report.csv") as f:
+        rows = list(csv.reader(f))[1:]
+    assert len(rows) < iterations + 1  # some steps were rejected
+    secs = [float(r[3]) for r in rows]
+    assert secs == sorted(secs)
+
+
 def test_bench_csv(tmp_path):
     out = tmp_path / "bench.csv"
     assert corona_main(["bench", "--sizes", "16,24", "--reps", "1", "--out", str(out)]) == 0
