@@ -21,7 +21,6 @@ __all__ = [
     "page_ctranspose",
     "page_trace",
     "page_diag",
-    "page_cat",
     "concat",
     "horzcat",
     "vertcat",
@@ -71,41 +70,6 @@ def _resolve_axis(axis) -> int:
     raise ValueError(f"invalid concatenation axis {axis!r}")
 
 
-def page_cat(axis, arrays) -> np.ndarray:
-    """Concatenate plain arrays along an axis with outer (broadcast) expansion.
-
-    Singleton dimensions in the third or higher position replicate up to the
-    common size; rows and columns must match exactly unless they are the
-    concatenation axis.
-    """
-    ax = _resolve_axis(axis)
-    arrs = [np.asarray(a) for a in arrays]
-    nd = max(max(a.ndim for a in arrs), ax + 1, 2)
-    arrs = [a.reshape(a.shape + (1,) * (nd - a.ndim)) for a in arrs]
-    for d in range(nd):
-        if d == ax:
-            continue
-        sizes = {a.shape[d] for a in arrs}
-        nonunit = sorted(s for s in sizes if s != 1)
-        if len(nonunit) > 1:
-            raise DimMismatchError(f"dimension {d} has incompatible sizes {nonunit}")
-        if d < 2 and len(sizes) > 1:
-            raise DimMismatchError(
-                f"rows/cols must match exactly for concatenation, got sizes {sorted(sizes)}"
-            )
-    expanded = []
-    for a in arrs:
-        target = list(a.shape)
-        for d in range(2, nd):
-            if d == ax:
-                continue
-            want = max(b.shape[d] for b in arrs)
-            if a.shape[d] == 1 and want > 1:
-                target[d] = want
-        expanded.append(np.broadcast_to(a, target))
-    return np.concatenate(expanded, axis=ax)
-
-
 def concat(where, operands) -> Tensor:
     """Concatenate tensors along an index or along the rows/cols axis.
 
@@ -113,7 +77,8 @@ def concat(where, operands) -> Tensor:
     operand; remaining identities align on their union with broadcast
     expansion, and the result's size along the identity is the sum of operand
     sizes.  Identities appearing in both variants are summed after joining,
-    mirroring the generic N-ary pipeline.
+    mirroring the generic N-ary pipeline.  Rows and columns off the
+    concatenation axis must match exactly.
     """
     ops = [op if isinstance(op, Tensor) else Tensor(np.asarray(op)) for op in operands]
     if isinstance(where, IndexHandle):
@@ -133,7 +98,18 @@ def concat(where, operands) -> Tensor:
             f"concatenation axis {ax + 1} lies beyond the operands' "
             f"{2 + len(plan.union_indices)} dimensions"
         )
-    joined = page_cat(ax, aligned)
+    for d in {0, 1} - {ax}:
+        sizes = sorted({x.shape[d] for x in aligned})
+        if len(sizes) > 1:
+            raise DimMismatchError(
+                f"rows/cols must match exactly for concatenation, got sizes {sizes}"
+            )
+    # off the axis, size-1 dimensions replicate to the common size
+    common = np.broadcast_shapes(*(x.shape[:ax] + (1,) + x.shape[ax + 1:] for x in aligned))
+    joined = np.concatenate(
+        [np.broadcast_to(x, common[:ax] + x.shape[ax:ax + 1] + common[ax + 1:]) for x in aligned],
+        axis=ax,
+    )
     result = Tensor._wrap(joined, plan.union_indices)
     if plan.contract_ids:
         result = result.sum(plan.contract_ids)

@@ -16,7 +16,6 @@ from rtensor import (
     with_indices,
 )
 from rtensor.errors import DimMismatchError, IndexArityError, UnknownIndexError
-from rtensor.pagewise import page_cat
 
 from oracles import selector_concat
 
@@ -86,45 +85,49 @@ def test_diag_rectangular_pages():
     np.testing.assert_array_equal(page_diag(t).entries.ravel(), [0.0, 4.0])
 
 
-# -- page_cat -----------------------------------------------------------------------
+# -- concat of arrays -----------------------------------------------------------------
 
 
-def test_page_cat_cols_with_ones():
+def test_concat_cols_with_ones():
     c = np.random.rand(4, 1)
-    got = page_cat("cols", [np.ones((4, 1)), np.abs(c)])
-    assert got.shape == (4, 2)
-    np.testing.assert_array_equal(got[:, 0], np.ones(4))
-    np.testing.assert_array_equal(got[:, 1], np.abs(c).ravel())
+    got = concat("cols", [np.ones((4, 1)), np.abs(c)])
+    assert got.entries.shape == (4, 2)
+    np.testing.assert_array_equal(got.entries[:, 0], np.ones(4))
+    np.testing.assert_array_equal(got.entries[:, 1], np.abs(c).ravel())
 
 
-def test_page_cat_rows():
+def test_concat_rows():
     b = np.random.rand(1, 5)
-    got = page_cat("rows", [b, np.ones((1, 5))])
-    assert got.shape == (2, 5)
-    np.testing.assert_array_equal(got[0], b.ravel())
+    got = concat("rows", [b, np.ones((1, 5))])
+    assert got.entries.shape == (2, 5)
+    np.testing.assert_array_equal(got.entries[0], b.ravel())
 
 
-def test_page_cat_page_axis_with_singleton():
+def test_concat_page_axis_with_singleton():
+    k = fresh()
     a = np.random.rand(2, 2, 1)
     b = np.random.rand(2, 2, 3)
-    got = page_cat(2, [a, b])
-    assert got.shape == (2, 2, 4)
-    np.testing.assert_array_equal(got[:, :, :1], a)
+    got = concat(2, [with_indices(a, [k]), with_indices(b, [k])])
+    assert got.entries.shape == (2, 2, 4)
+    np.testing.assert_array_equal(got.entries[:, :, :1], a)
 
 
-def test_page_cat_expands_higher_singletons():
+def test_concat_expands_higher_singletons():
+    i, j = fresh_many(2)
     a = np.random.rand(2, 2, 1, 2)
     b = np.random.rand(2, 2, 3, 1)
-    got = page_cat(3, [a, b])  # cat along last dim, expand dim 2
-    assert got.shape == (2, 2, 3, 3)
-    np.testing.assert_array_equal(got[:, :, 1, :2], a[:, :, 0, :])
+    got = concat(3, [with_indices(a, [i, j]), with_indices(b, [i, j])])  # cat along j, expand i
+    assert got.entries.shape == (2, 2, 3, 3)
+    np.testing.assert_array_equal(got.entries[:, :, 1, :2], a[:, :, 0, :])
 
 
-def test_page_cat_incompatible():
+def test_concat_incompatible():
+    i, j = fresh_many(2)
     with pytest.raises(DimMismatchError):
-        page_cat(3, [np.random.rand(2, 2, 2, 2), np.random.rand(2, 2, 3, 2)])
+        concat(3, [with_indices(np.random.rand(2, 2, 2, 2), [i, j]),
+                   with_indices(np.random.rand(2, 2, 3, 2), [i, j])])
     with pytest.raises(DimMismatchError):
-        page_cat("cols", [np.random.rand(2, 2), np.random.rand(3, 2)])
+        concat("cols", [np.random.rand(2, 2), np.random.rand(3, 2)])
 
 
 # -- index concat ----------------------------------------------------------------------
