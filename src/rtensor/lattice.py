@@ -125,8 +125,8 @@ def _unfold(x: np.ndarray, axes, order) -> np.ndarray:
     """Split ``x`` into named axes, given as ``(key, size)`` pairs in its
     memory order, and transpose them into ``order``.  A key is an index id,
     or ``"r"``/``"c"`` for the result's rows/cols."""
-    at = {key: k for k, (key, _) in enumerate(axes)}
-    return x.reshape([n for _, n in axes]).transpose([at[key] for key in order])
+    keys, sizes = zip(*axes)
+    return x.reshape(sizes).transpose([keys.index(key) for key in order])
 
 
 def product(a, b) -> Tensor:
