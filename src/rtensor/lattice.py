@@ -122,9 +122,9 @@ _matmul = np.errstate(invalid="ignore", over="ignore")(np.matmul)
 
 
 def _unfold(x: np.ndarray, axes, order) -> np.ndarray:
-    """Split ``x`` into named axes, given as ``(key, size)`` pairs in its
-    memory order, and transpose them into ``order``.  A key is an index id,
-    or ``"r"``/``"c"`` for the result's rows/cols."""
+    """Split ``x`` into named axes, given in order as ``(key, size)`` pairs,
+    and transpose them into ``order``.  A key is an index id, or ``"r"`` /
+    ``"c"`` for the result's rows/cols."""
     keys, sizes = zip(*axes)
     return x.reshape(sizes).transpose([keys.index(key) for key in order])
 
