@@ -211,6 +211,37 @@ def loop_ewise(fn, ae, ai, be, bi):
     return out, kept
 
 
+def loop_simplify(entries, indices):
+    """Naive attraction and contraction of repeated identities in one operand.
+
+    Returns ``(entries, index_list)`` in the engine's layout: one index per
+    identity in first-occurrence order with its first variant, except that
+    identities seen in both variants are summed away.  Every occurrence of an
+    identity reads the same position, which is attraction.  Boolean entries
+    become float64 when something is summed.
+    """
+    first, variants, size = {}, {}, {}
+    for t, h in enumerate(indices):
+        first.setdefault(h.id, h)
+        variants.setdefault(h.id, set()).add(h.variant)
+        size.setdefault(h.id, entries.shape[t + 2])
+    kept = [h for i, h in first.items() if len(variants[i]) == 1]
+    summed = [h for i, h in first.items() if len(variants[i]) > 1]
+    dtype = np.float64 if summed and entries.dtype == np.bool_ else entries.dtype
+    rows, cols = entries.shape[:2]
+    out = np.zeros([rows, cols] + [size[h.id] for h in kept], dtype=dtype)
+    for kept_vals in itertools.product(*(range(size[h.id]) for h in kept)):
+        at = {h.id: v for h, v in zip(kept, kept_vals)}
+        for r in range(rows):
+            for c in range(cols):
+                acc = 0
+                for summed_vals in itertools.product(*(range(size[h.id]) for h in summed)):
+                    at.update((h.id, v) for h, v in zip(summed, summed_vals))
+                    acc += entries[(r, c) + tuple(at[h.id] for h in indices)]
+                out[(r, c) + kept_vals] = acc
+    return out, kept
+
+
 def selector_concat(ops, where):
     """Concatenation built from the piecewise selector construction.
 

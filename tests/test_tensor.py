@@ -14,6 +14,8 @@ from rtensor.errors import (
     UnknownIndexError,
 )
 
+from oracles import loop_simplify
+
 
 def vec(values, handle):
     arr = np.asarray(values, dtype=float).reshape(1, 1, -1)
@@ -187,6 +189,57 @@ def test_sum_after_attraction_equals_simplify(seed):
             assert simplified.degree == 1
             np.testing.assert_allclose(simplified.entries.ravel(), attracted)
             assert simplified.indices[0].variant is pattern[0]
+
+
+KINDS = ("bool", "real", "complex")
+
+
+def _entries(rng, shape, kind):
+    if kind == "bool":
+        return rng.integers(0, 2, shape).astype(bool)
+    real = rng.integers(-3, 4, shape).astype(float)
+    return real + 1j * rng.integers(-3, 4, shape) if kind == "complex" else real
+
+
+def _check_simplify(arr, subs):
+    got = with_indices(arr, subs).simplify()
+    want, kept = loop_simplify(arr, subs)
+    assert got.indices == tuple(kept)  # identities and variants
+    assert got.entries.dtype == want.dtype
+    assert not got.entries.flags.writeable
+    assert got.entries.ndim == 2 + got.degree
+    np.testing.assert_array_equal(got.entries, want)
+
+
+@st.composite
+def repeat_cases(draw):
+    repeated = fresh_many(draw(st.integers(1, 3)))
+    single = fresh_many(draw(st.integers(0, 2)))
+    size = {h.id: draw(st.integers(1, 3)) for h in repeated + single}
+    slots = single + [h for h in repeated for _ in range(draw(st.integers(1, 3)))]
+    subs = [h if draw(st.booleans()) else ~h for h in draw(st.permutations(slots))]
+    mat = (draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arr = _entries(rng, mat + tuple(size[h.id] for h in subs), draw(st.sampled_from(KINDS)))
+    return arr, subs
+
+
+@given(repeat_cases())
+@settings(max_examples=200, deadline=None)
+def test_simplify_matches_loop_oracle(case):
+    _check_simplify(*case)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_simplify_contracts_a_pair_at_degree_54(kind):
+    # 52 unrepeated identities and one contracted pair: more axes than einsum has labels
+    k = fresh()
+    subs = fresh_many(52)
+    subs[3:3] = [k]
+    subs[40:40] = [~k]
+    sizes = [2 if h.id == k.id or t % 17 == 0 else 1 for t, h in enumerate(subs)]
+    arr = _entries(np.random.default_rng(7), (2, 1) + tuple(sizes), kind)
+    _check_simplify(arr, subs)
 
 
 # -- slice ---------------------------------------------------------------------
