@@ -9,7 +9,8 @@ nontrivial rows or columns is an ordinary matrix or vector.
 
 ``simplify`` normalizes an index list with repeats: every group of positions
 sharing an identity collapses to its generalized diagonal (attraction), and the
-group is additionally summed away when it mixed variants (contraction).
+group is additionally summed away when it mixed variants (contraction).  These
+are the two rules of ``np.einsum``, so one ``einsum`` call does both.
 """
 
 from __future__ import annotations
@@ -326,67 +327,44 @@ class Tensor:
         return Tensor(arr, kept)
 
     def simplify(self) -> "Tensor":
-        """Attract every repeated identity, then contract groups that mixed variants."""
-        if len({h.id for h in self.indices}) == len(self.indices):
+        """Attract every repeated identity and contract the groups that mixed
+        variants, in one ``np.einsum``."""
+        ids = [h.id for h in self.indices]
+        if len(set(ids)) == len(ids):
             return self
-        order: list[int] = []
-        groups: dict[int, list[int]] = {}
-        for t, h in enumerate(self.indices):
-            if h.id not in groups:
-                order.append(h.id)
-                groups[h.id] = []
-            groups[h.id].append(t)
-
-        arr = self.entries
-        cur = {t: t + 2 for t in range(len(self.indices))}
-        kept: list[IndexHandle] = []
-        contract: list[IndexHandle] = []
-        for gid in order:
-            grp = groups[gid]
-            leader = self.indices[grp[0]]
-            kept.append(leader)
-            if len(grp) == 1:
-                continue
-            axes = sorted(cur[p] for p in grp)
-            sizes = {arr.shape[a] for a in axes}
-            if len(sizes) > 1:
-                raise DimMismatchError(
-                    f"index {leader!r} repeats with sizes {sorted(sizes)}"
-                )
-            if len({self.indices[p].variant for p in grp}) > 1:
-                contract.append(leader)
-            arr = _diagonal(arr, axes, keep=cur[grp[0]])
-            removed = [a for a in axes if a != cur[grp[0]]]
-            for p, a in cur.items():
-                cur[p] = a - sum(1 for r in removed if r < a)
-        t = Tensor._wrap(arr, kept)
-        if contract:
-            t = t.sum(contract)
-        return t
+        axes: dict[int, list[int]] = {}  # identity -> its axes, in first-occurrence order
+        for t, i in enumerate(ids, 2):
+            axes.setdefault(i, []).append(t)
+        label: dict[int, int] = {}  # einsum has 52 labels, so only repeats take one
+        summed = set()
+        for i, group in axes.items():
+            if len(group) > 1:
+                label[i] = len(label)
+                sizes = sorted({self.entries.shape[a] for a in group})
+                if len(sizes) > 1:
+                    raise DimMismatchError(
+                        f"index {self.indices[group[0] - 2]!r} repeats with sizes {sizes}"
+                    )
+                if len({self.indices[a - 2].variant for a in group}) > 1:
+                    summed.add(i)
+        # the unrepeated axes pass through "..." ahead of the repeated ones
+        tied = [t for t, i in enumerate(ids, 2) if i in label]
+        arr = self.entries.transpose(
+            [0, 1] + [group[0] for i, group in axes.items() if i not in label] + tied)
+        if summed and arr.dtype == np.bool_:  # einsum sums booleans as a logical OR
+            arr = arr.astype(np.float64)
+        kept = [i for i in axes if i not in summed]
+        out = np.einsum(arr, [..., *(label[ids[t - 2]] for t in tied)],
+                        [..., *(label[i] for i in kept if i in label)])
+        order = [i for i in kept if i not in label] + [i for i in kept if i in label]
+        return Tensor._wrap(out.transpose([0, 1] + [2 + order.index(i) for i in kept]),
+                            [self.indices[axes[i][0] - 2] for i in kept])
 
 
 def _is_colon(s) -> bool:
     return (isinstance(s, str) and s == ":") or s is Ellipsis or (
         isinstance(s, slice) and s.start is None and s.stop is None and s.step is None
     )
-
-
-def _diagonal(arr: np.ndarray, axes: list[int], keep: int) -> np.ndarray:
-    """Select entries whose positions coincide along ``axes`` (linear indexing).
-
-    The surviving dimension stays at the array position ``keep``.
-    """
-    axes = sorted(axes)
-    n = arr.shape[axes[0]]
-    k = len(axes)
-    moved = np.moveaxis(arr, axes, range(arr.ndim - k, arr.ndim))
-    flat = moved.reshape(moved.shape[: arr.ndim - k] + (n ** k,))
-    stride = 1 if n == 1 else (n ** k - 1) // (n - 1)
-    taken = flat[..., ::stride] if n > 1 else flat[..., :1]
-    # the diagonal axis sits last; return it to the position of the group leader,
-    # accounting for the removed later axes
-    dest = keep - sum(1 for a in axes if a < keep)
-    return np.moveaxis(taken, -1, dest)
 
 
 # -- construction and assignment ------------------------------------------
