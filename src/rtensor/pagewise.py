@@ -78,25 +78,28 @@ def concat(where, operands) -> Tensor:
     expansion, and the result's size along the identity is the sum of operand
     sizes.  Identities appearing in both variants are summed after joining,
     mirroring the generic N-ary pipeline.  Rows and columns off the
-    concatenation axis must match exactly.
+    concatenation axis must match exactly.  A numeric axis past the rows and
+    columns names the union's identity at that position, whose sizes may
+    differ across operands as with the index form.
     """
-    ops = [op if isinstance(op, Tensor) else Tensor(np.asarray(op)) for op in operands]
+    ops = [(op if isinstance(op, Tensor) else Tensor(np.asarray(op))).simplify()
+           for op in operands]
+    union = list(dict.fromkeys(h.id for op in ops for h in op.indices))  # as alignn's
     if isinstance(where, IndexHandle):
-        ops = [op.simplify() for op in ops]
         for op in ops:
             if all(h.id != where.id for h in op.indices):
                 raise UnknownIndexError(f"operand lacks concatenation index {where!r}")
-        aligned, plan = alignn(ops, skip_size_check=(where.id,))
-        ax = 2 + next(k for k, h in enumerate(plan.union_indices) if h.id == where.id)
+        ax = 2 + union.index(where.id)
     else:
-        aligned, plan = alignn(ops)
         ax = _resolve_axis(where)
+    joined = union[ax - 2:ax - 1] if ax >= 2 else []  # the identity joined, if any
+    aligned, plan = alignn(ops, skip_size_check=joined)
     if len(ops) == 1:
         return Tensor._wrap(aligned[0], plan.union_indices)
-    if ax >= 2 + len(plan.union_indices):
+    if ax >= 2 + len(union):
         raise IndexArityError(
             f"concatenation axis {ax + 1} lies beyond the operands' "
-            f"{2 + len(plan.union_indices)} dimensions"
+            f"{2 + len(union)} dimensions"
         )
     for d in {0, 1} - {ax}:
         sizes = sorted({x.shape[d] for x in aligned})

@@ -1,7 +1,7 @@
 """Differential test: ``concat`` against the selector-construction oracle.
 
-Cases join two or three operands along an index or along rows/cols.  The
-other identities may be missing from an operand or have size 1 in it, so
+Cases join two or three operands along an index (named by its handle or by
+its numeric axis) or along rows/cols.  The other identities may be missing from an operand or have size 1 in it, so
 they broadcast; variants, index orders and element kinds are drawn.
 """
 
@@ -26,16 +26,16 @@ def _entries(rng, shape, kind):
 
 @st.composite
 def concat_cases(draw):
-    where = draw(st.sampled_from(("index", "rows", "cols")))
+    where = draw(st.sampled_from(("index", "axis", "rows", "cols")))
     others = [h if draw(st.booleans()) else ~h for h in fresh_many(draw(st.integers(0, 2)))]
     size = {h.id: draw(st.integers(2, 3)) for h in others}
-    j = fresh() if where == "index" else None
+    j = fresh() if where in ("index", "axis") else None
     mat = [draw(st.integers(1, 3)), draw(st.integers(1, 3))]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ops = []
     for _ in range(draw(st.integers(2, 3))):
         shape = list(mat)
-        if where != "index":
+        if j is None:
             shape[("rows", "cols").index(where)] = draw(st.integers(1, 3))
         handles = [h for h in others if draw(st.sampled_from(("in", "in", "size 1", "missing"))) != "missing"]
         sizes = {h.id: size[h.id] if draw(st.booleans()) else 1 for h in handles}
@@ -53,8 +53,12 @@ def concat_cases(draw):
 @settings(max_examples=200, deadline=None)
 def test_concat_matches_selector_oracle(case):
     where, j, ops = case
-    got = concat(j if where == "index" else where, [with_indices(e, x) for e, x in ops])
-    want, union = selector_concat(ops, j.id if where == "index" else where)
+    want, union = selector_concat(ops, where if j is None else j.id)
+    if where == "index":
+        where = j
+    elif where == "axis":  # the array axis of j's dimension
+        where = 2 + [h.id for h in union].index(j.id)
+    got = concat(where, [with_indices(e, x) for e, x in ops])
     assert got.indices == tuple(union)
     assert got.entries.dtype == want.dtype
     np.testing.assert_array_equal(got.entries, want.reshape(got.entries.shape))

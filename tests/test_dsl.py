@@ -377,6 +377,14 @@ def test_cli_eval_json(capsys):
     assert rec["dims"] == [1, 1]
 
 
+def test_cli_eval_cat_along_an_index_dimension_of_unequal_sizes(capsys):
+    code = rt_main(["eval", "cat(3, a(i), b(i))",
+                    "--define", "a=ones(1,1,2)", "--define", "b=zeros(1,1,3)", "--json"])
+    assert code == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["dims"] == [1, 1, 5]
+
+
 def test_cli_eval_summary(capsys):
     assert rt_main(["eval", "rand(2,3)"]) == 0
     out = capsys.readouterr().out
