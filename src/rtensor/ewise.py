@@ -168,7 +168,7 @@ def ewise_unary(fn: str, t, p: int | None = None) -> Tensor:
     elif fn == "round":
         out = np.round(arr, 0 if p is None else int(p))
     elif fn == "step":
-        if np.issubdtype(arr.dtype, np.complexfloating):
+        if arr.dtype.kind == "c":
             raise ElementKindError("step is undefined for complex values")
         out = (arr > 0).astype(np.float64)
     elif fn in _UNARY:
@@ -193,16 +193,11 @@ def equal_all(operands) -> bool:
     ops = [op.simplify() if isinstance(op, Tensor) else _coerce_plain(op) for op in operands]
     if len(ops) < 2:
         return True
-    variants: dict[int, bool] = {}
-    for op in ops:
-        if not isinstance(op, Tensor):
-            continue
-        for h in op.indices:
-            if variants.setdefault(h.id, h.variant) != h.variant:
-                return False
     try:
-        aligned, _ = alignn(ops)
+        aligned, plan = alignn(ops)
     except DimMismatchError:
+        return False
+    if plan.contract_ids:
         return False
     first = aligned[0]
     for other in aligned[1:]:

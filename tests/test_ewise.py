@@ -290,6 +290,14 @@ def test_equal_all_variant_conflict():
     assert not equal_all([vec([1, 2], k), vec([1, 2], ~k)])
 
 
+def test_equal_all_rejects_a_lone_malformed_operand():
+    i = fresh()
+    with pytest.raises(OperandKindError):
+        equal_all([np.zeros((2, 2, 2))])
+    with pytest.raises(DimMismatchError):
+        equal_all([with_indices(np.zeros((1, 1, 2, 3)), [i, i])])
+
+
 def test_equal_all_permute_roundtrip():
     i, j = fresh_many(2)
     a = with_indices(np.random.rand(1, 1, 2, 3), [i, j])
