@@ -31,7 +31,6 @@ denominator leftovers.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,8 +40,6 @@ from .indices import IndexHandle
 from .tensor import Tensor
 
 __all__ = ["AlignmentPlan2", "align2", "product", "solve_left", "solve_right"]
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -194,9 +191,6 @@ def _page_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         raise DimMismatchError(
             f"underdetermined pages: {m} equations for {k} unknowns"
         )
-    if log.isEnabledFor(logging.DEBUG):
-        for p, c in enumerate(np.linalg.cond(A).ravel()):
-            log.debug("page %d condition estimate %.3e", p, c)
     pages = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
     if m == k:
         try:
