@@ -335,7 +335,9 @@ class Tensor:
         axes: dict[int, list[int]] = {}  # identity -> its axes, in first-occurrence order
         for t, i in enumerate(ids, 2):
             axes.setdefault(i, []).append(t)
-        label: dict[int, int] = {}  # einsum has 52 labels, so only repeats take one
+        # einsum has 52 labels, so only repeated identities take one; numpy's
+        # 64 axes leave room for at most 31 of them
+        label: dict[int, int] = {}
         summed = set()
         for i, group in axes.items():
             if len(group) > 1:
