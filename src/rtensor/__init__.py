@@ -11,16 +11,7 @@ size-1 pages broadcast without copies; a small expression language exposes
 the same operations as text.
 """
 
-from .indices import (
-    IndexHandle,
-    as_false,
-    as_true,
-    complement,
-    fresh,
-    fresh_many,
-    same_id,
-    variant,
-)
+from .indices import IndexHandle, fresh, fresh_many
 from .tensor import Tensor, assign, from_array, with_indices
 from .ewise import alignn, equal_all, ewise_binary, ewise_unary
 from .lattice import align2, product, solve_left, solve_right
@@ -39,11 +30,6 @@ __all__ = [
     "IndexHandle",
     "fresh",
     "fresh_many",
-    "complement",
-    "same_id",
-    "variant",
-    "as_true",
-    "as_false",
     "Tensor",
     "from_array",
     "with_indices",

@@ -15,16 +15,7 @@ import itertools
 import threading
 from dataclasses import dataclass
 
-__all__ = [
-    "IndexHandle",
-    "fresh",
-    "fresh_many",
-    "complement",
-    "same_id",
-    "variant",
-    "as_true",
-    "as_false",
-]
+__all__ = ["IndexHandle", "fresh", "fresh_many"]
 
 _counter = itertools.count()
 _lock = threading.Lock()
@@ -56,24 +47,3 @@ def fresh_many(n: int) -> list[IndexHandle]:
         raise ValueError("count must be nonnegative")
     return [fresh() for _ in range(n)]
 
-
-def complement(h: IndexHandle) -> IndexHandle:
-    """Same identity, flipped variant."""
-    return ~h
-
-
-def same_id(a: IndexHandle, b: IndexHandle) -> bool:
-    """Identity comparison, ignoring variants."""
-    return a.id == b.id
-
-
-def variant(h: IndexHandle) -> bool:
-    return h.variant
-
-
-def as_true(h: IndexHandle) -> IndexHandle:
-    return IndexHandle(h.id, True)
-
-
-def as_false(h: IndexHandle) -> IndexHandle:
-    return IndexHandle(h.id, False)

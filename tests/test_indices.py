@@ -1,19 +1,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from rtensor import (
-    as_false,
-    as_true,
-    complement,
-    fresh,
-    fresh_many,
-    same_id,
-    variant,
-)
+from rtensor import IndexHandle, fresh, fresh_many
 
 
 def test_fresh_is_true_variant():
-    assert variant(fresh()) is True
+    assert fresh().variant is True
 
 
 def test_fresh_ids_distinct():
@@ -23,21 +15,21 @@ def test_fresh_ids_distinct():
 
 def test_complement_flips_variant_only():
     h = fresh()
-    assert variant(complement(h)) is False
-    assert same_id(h, complement(h))
-    assert complement(complement(h)) == h
+    assert (~h).variant is False
+    assert (~h).id == h.id
+    assert ~~h == h
 
 
 def test_tilde_operator_is_complement():
     h = fresh()
-    assert ~h == complement(h)
+    assert ~h == IndexHandle(h.id, False)
     assert ~~h == h
 
 
 def test_fresh_many():
     handles = fresh_many(3)
     assert len({h.id for h in handles}) == 3
-    assert all(variant(h) for h in handles)
+    assert all(h.variant for h in handles)
     assert fresh_many(0) == []
 
 
@@ -48,15 +40,15 @@ def test_fresh_many_negative():
 
 def test_forcing_variants():
     h = fresh()
-    assert as_false(h) == complement(h)
-    assert variant(as_true(as_false(h))) is True
-    assert as_true(h) == h
+    assert IndexHandle(h.id, False) == ~h
+    assert IndexHandle((~h).id, True) == h
+    assert IndexHandle(h.id) == h  # the true variant is the default
 
 
 def test_variant_sensitive_equality_refines_identity():
     h = fresh()
     assert h != ~h
-    assert same_id(h, ~h)
+    assert h.id == (~h).id
 
 
 def test_orbit_closed_under_complement():
