@@ -166,13 +166,6 @@ class Tensor:
             self.entries.dtype.type
         ]
 
-    def dim_of(self, h: IndexHandle) -> int | None:
-        """Array axis carrying the identity of ``h``, or None."""
-        for t, own in enumerate(self.indices):
-            if own.id == h.id:
-                return t + 2
-        return None
-
     def fold(self, groups: Iterable[Sequence]) -> np.ndarray:
         """Entries with each group's axes permuted together and fused into one axis.
 

@@ -26,6 +26,14 @@ def _value_at(entries, indices, assign_map, r, c):
     return entries[tuple(pos)]
 
 
+def dim_of(entries, indices, h):
+    """Size of the axis carrying the identity of ``h``; 1 when it is absent."""
+    for t, own in enumerate(indices):
+        if own.id == h.id:
+            return entries.shape[t + 2]
+    return 1
+
+
 def loop_product(ae, ai, be, bi):
     """Naive product: classify ids, then sum with nested loops.
 
@@ -39,12 +47,6 @@ def loop_product(ae, ai, be, bi):
     pages = [h for h in ai if h.id in b_pos and b_pos[h.id].variant == h.variant]
     a_out = [h for h in ai if h.id not in b_pos]
     b_out = [h for h in bi if h.id not in a_ids]
-
-    def dim_of(entries, indices, h):
-        for t, own in enumerate(indices):
-            if own.id == h.id:
-                return entries.shape[t + 2]
-        return 1
 
     inner_dims = [max(dim_of(ae, ai, h), dim_of(be, bi, h)) for h in inner]
     page_dims = [max(dim_of(ae, ai, h), dim_of(be, bi, h)) for h in pages]
@@ -111,12 +113,6 @@ def loop_solve(ae, ai, be, bi, side):
              if h.id in a_by and h.id in b_by and a_by[h.id].variant != b_by[h.id].variant]
     unknown = [h for h in ai if h.id not in b_by]
     rhs = [h for h in bi if h.id not in a_by]
-
-    def dim_of(entries, indices, h):
-        for t, own in enumerate(indices):
-            if own.id == h.id:
-                return entries.shape[t + 2]
-        return 1
 
     eq_axis = 0 if side == "left" else 1  # the matrix axis of a and b holding equations
     blocks = ae.shape[:2] == (1, 1) and be.shape[:2] != (1, 1)
@@ -186,12 +182,6 @@ def loop_ewise(fn, ae, ai, be, bi):
         elif variants[h.id].variant != h.variant:
             both.add(h.id)
 
-    def dim_of(entries, indices, h):
-        for t, own in enumerate(indices):
-            if own.id == h.id:
-                return entries.shape[t + 2]
-        return 1
-
     dims = [max(dim_of(ae, ai, h), dim_of(be, bi, h)) for h in union]
     rows = max(ae.shape[0], be.shape[0])
     cols = max(ae.shape[1], be.shape[1])
@@ -255,12 +245,6 @@ def selector_concat(ops, where):
             if h.id not in seen:
                 seen.add(h.id)
                 union.append(h)
-
-    def dim_of(entries, indices, h):
-        for t, own in enumerate(indices):
-            if own.id == h.id:
-                return entries.shape[t + 2]
-        return 1
 
     matrix_axis = {"rows": 0, "cols": 1}.get(where)
     if matrix_axis is None:

@@ -107,7 +107,8 @@ def test_lattice_roundtrip_identity():
         use = t if side == "left" else with_indices(np.random.rand(2, 3, 5, 6), [~j, k])
         groups = lattice_groups(plan, side)
         lat = use.fold(groups)
-        axes = [g if isinstance(g, int) else use.dim_of(g) for grp in groups for g in grp]
+        ids = [h.id for h in use.indices]
+        axes = [g if isinstance(g, int) else 2 + ids.index(g.id) for grp in groups for g in grp]
         mid = [use.entries.shape[a] for a in axes]
         back = Tensor(np.transpose(lat.reshape(mid), np.argsort(axes)), use.indices)
         np.testing.assert_array_equal(back.entries, use.entries)
