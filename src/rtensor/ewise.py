@@ -42,15 +42,24 @@ def _coerce_plain(op) -> np.ndarray:
     return arr
 
 
-def alignn(operands, *, skip_size_check=()):
+def _prepare(op):
+    """An operand as alignment takes it: a simplified tensor or a 2D array."""
+    return op.simplify() if isinstance(op, Tensor) else _coerce_plain(op)
+
+
+def alignn(operands):
     """Align N operands on their index union.
 
     Returns the aligned entry arrays (full rank ``2 + len(union)``) and the
     :class:`AlignmentPlanN`.  Plain 2D arrays pass through reshaped with
-    singleton tensor dimensions.  ``skip_size_check`` lists identities whose
-    sizes may legitimately differ (used by index concatenation).
+    singleton tensor dimensions.
     """
-    ops = [op.simplify() if isinstance(op, Tensor) else _coerce_plain(op) for op in operands]
+    return _align([_prepare(op) for op in operands], ())
+
+
+def _align(ops, skip):
+    """:func:`alignn`'s body, for operands already prepared.  ``skip`` lists
+    identities whose sizes may differ across operands (index concatenation)."""
     union: list[IndexHandle] = []
     seen: dict[int, bool] = {}
     both: set[int] = set()
@@ -70,7 +79,7 @@ def alignn(operands, *, skip_size_check=()):
         shape = op.entries.shape
         for t, h in enumerate(op.indices, 2):
             n = shape[t]
-            if h.id in skip_size_check or n == 1:
+            if h.id in skip or n == 1:
                 continue
             if sizes.setdefault(h.id, n) != n:
                 raise DimMismatchError(
@@ -190,11 +199,11 @@ def equal_all(operands) -> bool:
     variant by another makes the answer False outright, matching how a column
     vector never equals its transposed row.  NaN compares unequal.
     """
-    ops = [op.simplify() if isinstance(op, Tensor) else _coerce_plain(op) for op in operands]
+    ops = [_prepare(op) for op in operands]
     if len(ops) < 2:
         return True
     try:
-        aligned, plan = alignn(ops)
+        aligned, plan = _align(ops, ())
     except DimMismatchError:
         return False
     if plan.contract_ids:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimMismatchError, IndexArityError, UnknownIndexError
-from .ewise import alignn
+from .ewise import _align
 from .indices import IndexHandle
 from .tensor import Tensor
 
@@ -84,7 +84,7 @@ def concat(where, operands) -> Tensor:
     """
     ops = [(op if isinstance(op, Tensor) else Tensor(np.asarray(op))).simplify()
            for op in operands]
-    union = list(dict.fromkeys(h.id for op in ops for h in op.indices))  # as alignn's
+    union = list(dict.fromkeys(h.id for op in ops for h in op.indices))  # as _align's
     if isinstance(where, IndexHandle):
         for op in ops:
             if all(h.id != where.id for h in op.indices):
@@ -93,7 +93,7 @@ def concat(where, operands) -> Tensor:
     else:
         ax = _resolve_axis(where)
     joined = union[ax - 2:ax - 1] if ax >= 2 else []  # the identity joined, if any
-    aligned, plan = alignn(ops, skip_size_check=joined)
+    aligned, plan = _align(ops, joined)
     if len(ops) == 1:
         return Tensor._wrap(aligned[0], plan.union_indices)
     if ax >= 2 + len(union):

@@ -8,6 +8,7 @@ from rtensor import (
     equal_all,
     ewise_binary,
     ewise_unary,
+    concat,
     fresh,
     fresh_many,
     page_transpose,
@@ -310,6 +311,26 @@ def test_equal_all_nan_is_unequal():
     k = fresh()
     x = vec([np.nan], k)
     assert not equal_all([x, x])
+
+
+@pytest.mark.parametrize("run", [
+    lambda i, a, b: concat(i, [a, b]),
+    lambda i, a, b: equal_all([a, b]),
+    lambda i, a, b: ewise_binary("+", a, b),
+], ids=["concat", "equal_all", "ewise_binary"])
+def test_each_tensor_operand_is_simplified_once(monkeypatch, run):
+    simplify, calls = Tensor.simplify, []
+
+    def counted(self):
+        calls.append(self)
+        return simplify(self)
+
+    monkeypatch.setattr(Tensor, "simplify", counted)
+    i, j = fresh_many(2)
+    a = with_indices(np.ones((1, 1, 2, 3)), [i, j])
+    b = with_indices(np.ones((1, 1, 2, 2, 3)), [i, i, j])  # attracts to a's shape
+    run(i, a, b)
+    assert [id(t) for t in calls] == [id(a), id(b)]
 
 
 def test_relations_treat_nan_ieee():
