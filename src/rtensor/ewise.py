@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimMismatchError, ElementKindError, OperandKindError
 from .indices import IndexHandle
-from .tensor import Tensor, as_element_kind
+from .tensor import Tensor, _arithmetic, as_element_kind
 
 __all__ = ["AlignmentPlanN", "alignn", "ewise_binary", "ewise_unary", "equal_all"]
 
@@ -130,10 +130,7 @@ def ewise_binary(op: str, a, b) -> Tensor:
                 f"{xb.shape[0]}x{xb.shape[1]}"
             )
     if op in _ARITH:
-        if xa.dtype == np.bool_:
-            xa = xa.astype(np.float64)
-        if xb.dtype == np.bool_:
-            xb = xb.astype(np.float64)
+        xa, xb = (x.astype(_arithmetic(x.dtype), copy=False) for x in (xa, xb))
         with np.errstate(divide="ignore", invalid="ignore"):
             out = _ARITH[op](xa, xb)
     elif op in _RELATION:
@@ -168,28 +165,25 @@ def ewise_unary(fn: str, t, p: int | None = None) -> Tensor:
     strictly negative values.
     """
     if not isinstance(t, Tensor):
-        t = Tensor(_coerce_plain(t))
+        t = Tensor._wrap(_coerce_plain(t), ())
     arr = t.entries
     if fn == "not":
         if arr.dtype != np.bool_:
             raise ElementKindError("logical NOT requires boolean elements")
-        out = np.logical_not(arr)
-    elif fn == "round":
+        return Tensor._wrap(np.logical_not(arr), t.indices)
+    arr = arr.astype(_arithmetic(arr.dtype), copy=False)  # booleans compute as reals
+    if fn == "round":
         out = np.round(arr, 0 if p is None else int(p))
     elif fn == "step":
         if arr.dtype.kind == "c":
             raise ElementKindError("step is undefined for complex values")
         out = (arr > 0).astype(np.float64)
     elif fn in _UNARY:
-        if fn in ("log", "exp", "abs") and arr.dtype == np.bool_:
-            arr = arr.astype(np.float64)
-        if fn == "neg" and arr.dtype == np.bool_:
-            arr = arr.astype(np.float64)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = _UNARY[fn](arr)
     else:
         raise ValueError(f"unknown entrywise function {fn!r}")
-    return Tensor(out, t.indices)
+    return Tensor._wrap(out, t.indices)
 
 
 def equal_all(operands) -> bool:

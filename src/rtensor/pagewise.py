@@ -14,7 +14,7 @@ import numpy as np
 from .errors import DimMismatchError, IndexArityError, UnknownIndexError
 from .ewise import _align
 from .indices import IndexHandle
-from .tensor import Tensor
+from .tensor import Tensor, _arithmetic
 
 __all__ = [
     "page_transpose",
@@ -38,15 +38,16 @@ def page_transpose(t: Tensor) -> Tensor:
 
 def page_ctranspose(t: Tensor) -> Tensor:
     """Conjugate transpose per page; conjugates entries and complements variants."""
-    return Tensor(np.conj(np.swapaxes(t.entries, 0, 1)), _flip(t.indices))
+    x = np.swapaxes(t.entries, 0, 1)
+    return Tensor._wrap(np.conj(x, dtype=_arithmetic(x.dtype)), _flip(t.indices))
 
 
 def page_trace(t: Tensor) -> Tensor:
     """Sum of the main diagonal per page; pages become 1x1, degree preserved."""
     if t.rows != t.cols:
         raise DimMismatchError(f"trace needs square pages, got {t.rows}x{t.cols}")
-    tr = np.trace(t.entries, axis1=0, axis2=1)
-    return Tensor(np.asarray(tr).reshape((1, 1) + t.tensor_dims), t.indices)
+    tr = np.trace(t.entries, axis1=0, axis2=1, dtype=_arithmetic(t.entries.dtype))
+    return Tensor._wrap(np.reshape(tr, (1, 1) + t.tensor_dims), t.indices)
 
 
 def page_diag(t: Tensor) -> Tensor:

@@ -63,6 +63,12 @@ def _as_entries(values) -> np.ndarray:
     return arr
 
 
+def _arithmetic(dtype) -> np.dtype:
+    """The element kind arithmetic on ``dtype`` yields: booleans count as
+    float64, and float64 and complex128 stay as they are."""
+    return np.promote_types(dtype, np.float64)
+
+
 def _trimmed_ndim(shape: tuple[int, ...]) -> int:
     """Number of dimensions once trailing singletons are dropped, at least 2."""
     nd = len(shape)
@@ -188,7 +194,7 @@ class Tensor:
         source's outermost axis in memory.
         """
         permuted, shape = self._permuted(groups)
-        dtype = np.float64 if permuted.dtype == np.bool_ else permuted.dtype
+        dtype = _arithmetic(permuted.dtype)
         if permuted.flags.c_contiguous and dtype == permuted.dtype:
             return permuted.reshape(shape)
         out = np.empty(permuted.shape, dtype)
@@ -315,9 +321,8 @@ class Tensor:
         if not axes:
             return self
         with np.errstate(invalid="ignore", over="ignore"):  # as the entrywise step
-            arr = self.entries.sum(axis=axes)
-        kept = [h for h in self.indices if h.id not in over_ids]
-        return Tensor(arr, kept)
+            arr = self.entries.sum(axis=axes, dtype=_arithmetic(self.entries.dtype))
+        return Tensor._wrap(arr, [h for h in self.indices if h.id not in over_ids])
 
     def simplify(self) -> "Tensor":
         """Attract every repeated identity and contract the groups that mixed
