@@ -31,7 +31,7 @@ denominator leftovers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,23 +48,18 @@ class AlignmentPlan2:
 
     ``inner_ids`` are matched with complementary variants, ``page_ids`` with
     equal variants (variant recorded from the left operand); the outer lists
-    hold each operand's leftovers.  ``result_indices`` is always
-    left-outer ++ right-outer ++ pages.
+    hold each operand's leftovers.  ``result_indices`` is left-outer ++
+    right-outer ++ pages.
     """
 
     inner_ids: tuple[IndexHandle, ...]
     page_ids: tuple[IndexHandle, ...]
     left_outer_ids: tuple[IndexHandle, ...]
     right_outer_ids: tuple[IndexHandle, ...]
-    result_indices: tuple[IndexHandle, ...] = field(default=())
 
-    def __post_init__(self):
-        if not self.result_indices:
-            object.__setattr__(
-                self,
-                "result_indices",
-                self.left_outer_ids + self.right_outer_ids + self.page_ids,
-            )
+    @property
+    def result_indices(self) -> tuple[IndexHandle, ...]:
+        return self.left_outer_ids + self.right_outer_ids + self.page_ids
 
 
 def align2(a_indices, b_indices) -> AlignmentPlan2:
@@ -166,8 +161,8 @@ def product(a, b) -> Tensor:
     axes = ([(h.id, sa[h.id]) for h in kept]
             + [("rc"[x], da[x]) for x in a_out] + [(h.id, sa[h.id]) for h in (*lo, *a_spread)]
             + [("rc"[x], db[x]) for x in b_out] + [(h.id, sb[h.id]) for h in (*ro, *b_spread)])
-    order = ["r", "c"] + [h.id for h in plan.result_indices]
-    return Tensor._wrap(_unfold(out, axes, order), plan.result_indices)
+    indices = plan.result_indices
+    return Tensor._wrap(_unfold(out, axes, ["r", "c"] + [h.id for h in indices]), indices)
 
 
 # -- division ----------------------------------------------------------------

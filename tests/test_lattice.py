@@ -75,6 +75,8 @@ def test_align2_result_order_and_page_variant():
     plan = align2([~i, ~r], [r, t, ~i])
     # pages take the left operand's variant
     assert plan.result_indices == (t, ~i)
+    with pytest.raises(AttributeError):  # derived from the groups, never stored
+        plan.result_indices = ()
 
 
 # -- fold onto a rows x cols x pages lattice -------------------------------------
