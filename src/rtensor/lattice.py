@@ -147,10 +147,11 @@ def product(a, b) -> Tensor:
         )
     lo, ro, inner = plan.left_outer_ids, plan.right_outer_ids, plan.inner_ids
     # a page of size 1 on one side joins both outer groups after the
-    # leftovers, so the other side's pages fold into one matrix multiply
+    # leftovers, so the other side's pages fold into one matrix multiply; the
+    # page spreads by the other side's size, 0 included, as numpy broadcasts
     kept = [h for h in plan.page_ids if sa[h.id] == sb[h.id]]
-    a_spread = [h for h in plan.page_ids if sa[h.id] > sb[h.id]]
-    b_spread = [h for h in plan.page_ids if sa[h.id] < sb[h.id]]
+    a_spread = [h for h in plan.page_ids if sa[h.id] != 1 and sb[h.id] == 1]
+    b_spread = [h for h in plan.page_ids if sa[h.id] == 1 and sb[h.id] != 1]
     spread = a_spread + b_spread
     pages = [[h] for h in kept]
     xa = a._packed_fold(pages + [[*a_out, *lo, *spread], [*a_sum, *inner]])
@@ -177,9 +178,10 @@ def _page_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
     Page axes broadcast, so a size-1 page of either operand serves every page
     of the other.  Square pages use LU with partial pivoting, tall pages QR
-    least squares.  Underdetermined pages are rejected and singular pages
-    raise :class:`SingularPageError` with the offending page, counted
-    row-major over the broadcast pages.
+    least squares, and pages without unknowns have the empty solution.
+    Underdetermined pages are rejected and singular pages raise
+    :class:`SingularPageError` with the offending page, counted row-major
+    over the broadcast pages.
     """
     m, k = A.shape[-2:]
     if m < k:
@@ -187,6 +189,8 @@ def _page_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
             f"underdetermined pages: {m} equations for {k} unknowns"
         )
     pages = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+    if k == 0:  # no unknowns: the empty solution
+        return np.zeros(pages + (0, B.shape[-1]), np.result_type(A, B))
     if m == k:
         try:
             return np.linalg.solve(A, B)

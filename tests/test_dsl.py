@@ -385,6 +385,19 @@ def test_cli_eval_cat_along_an_index_dimension_of_unequal_sizes(capsys):
     assert rec["dims"] == [1, 1, 5]
 
 
+@pytest.mark.parametrize("text, dims", [
+    ("G(k) * E(k)", [1, 1, 0]),
+    ("G(k) .* E(k)", [1, 1, 0]),
+    ("zeros(3,0) \\ zeros(3,2)", [0, 2]),
+    ("zeros(2,2) / G(k)", [2, 2, 0]),
+])
+def test_cli_eval_on_a_size_zero_dimension(capsys, text, dims):
+    code = rt_main(["eval", text, "--define", "G=zeros(1,1,0)", "--define", "E=ones(1,1,1)",
+                    "--json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["dims"] == dims
+
+
 def test_cli_eval_summary(capsys):
     assert rt_main(["eval", "rand(2,3)"]) == 0
     out = capsys.readouterr().out

@@ -8,6 +8,7 @@ import pytest
 from rtensor import (
     Tensor,
     align2,
+    ewise_binary,
     fresh,
     fresh_many,
     page_ctranspose,
@@ -241,6 +242,16 @@ def test_product_broadcasts_singleton_pages():
     got = product(a, b)
     np.testing.assert_array_equal(got.entries.ravel(), [2.0, 4.0, 6.0])
     assert got.indices == (k,)
+
+
+def test_product_spreads_a_size_zero_page_against_a_singleton():
+    # numpy broadcasts 0 against 1 to 0, so the size-0 side spreads its page
+    k = fresh()
+    g, e = with_indices(np.zeros((1, 1, 0)), [k]), with_indices(np.ones((1, 1, 1)), [k])
+    for a, b in ((g, e), (e, g)):
+        assert product(a, b).entries.shape == ewise_binary(".*", a, b).entries.shape == (1, 1, 0)
+    got = product(with_indices(np.ones((2, 3, 1)), [k]), with_indices(np.ones((3, 4, 0)), [k]))
+    assert got.entries.shape == (2, 4, 0) and got.indices == (k,)
 
 
 def test_solve_complex_entries():
@@ -572,6 +583,16 @@ def test_large_division_matches_per_page_linalg(case, kinds):
     assert got.indices == (p,)
     assert got.entries.dtype == np.result_type(den, num, np.float64)
     np.testing.assert_allclose(got.entries, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+
+
+def test_division_without_unknowns_gives_the_empty_solution():
+    got = solve_left(np.zeros((3, 0)), np.zeros((3, 2)))
+    assert got.entries.shape == (0, 2) and got.indices == ()
+    k = fresh()
+    got = solve_right(np.zeros((2, 2)), with_indices(np.zeros((1, 1, 0)), [k]))
+    assert got.entries.shape == (2, 2, 0) and got.indices == (~k,)
+    got = solve_left(with_indices(np.zeros((3, 0, 2)), [~k]), with_indices(np.ones((3, 1, 2)), [k]))
+    assert got.entries.shape == (0, 1, 2) and got.indices == (k,)
 
 
 def test_underdetermined_rejected():
