@@ -517,9 +517,7 @@ def _call(node: Call, env: Environment):
     if fn == "diag":
         return pagewise.page_diag(first)
     if fn == "round":
-        p = 0
-        if len(args) > 1:
-            p = int(float(args[1].entries.ravel()[0]))
+        p = _as_value_tensor(args[1]).entries if len(args) > 1 else None
         return ewise.ewise_unary("round", first, p)
     if fn in ("abs", "log", "exp", "conj", "step"):
         return ewise.ewise_unary(fn, first)

@@ -18,7 +18,8 @@ class DimMismatchError(EngineError):
 
 
 class BoundsError(EngineError):
-    """Numeric subscript outside the valid 1-based range."""
+    """Numeric subscript outside the valid 1-based range, or a numeric
+    argument outside its valid range."""
 
 
 class UnknownIndexError(EngineError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatchError, ElementKindError, OperandKindError
+from .errors import BoundsError, DimMismatchError, ElementKindError, OperandKindError
 from .indices import IndexHandle
 from .tensor import Tensor, _arithmetic, as_element_kind
 
@@ -157,10 +157,20 @@ _UNARY = {
 }
 
 
-def ewise_unary(fn: str, t, p: int | None = None) -> Tensor:
+def _decimals(p) -> int:
+    """``round``'s precision: one integer of at most 308 in magnitude, the
+    exponents of the powers of ten a float64 holds."""
+    p = np.ravel(0 if p is None else p)
+    if p.size != 1 or p.dtype.kind not in "biuf" or not abs(p[0]) <= 308 or p[0] % 1:
+        raise BoundsError(f"round precision must be one integer in -308..308, got {p.tolist()}")
+    return int(p[0])
+
+
+def ewise_unary(fn: str, t, p=None) -> Tensor:
     """Entrywise unary function; indices unchanged.
 
-    ``round`` takes a decimal-precision argument.  ``step`` maps positive
+    ``round`` takes a decimal-precision argument, one integer or a one-entry
+    array of one, 0 by default.  ``step`` maps positive
     entries to 1 and the rest, zero included, to 0, so ``step(-x)`` filters
     strictly negative values.
     """
@@ -173,7 +183,7 @@ def ewise_unary(fn: str, t, p: int | None = None) -> Tensor:
         return Tensor._wrap(np.logical_not(arr), t.indices)
     arr = arr.astype(_arithmetic(arr.dtype), copy=False)  # booleans compute as reals
     if fn == "round":
-        out = np.round(arr, 0 if p is None else int(p))
+        out = np.round(arr, _decimals(p))
     elif fn == "step":
         if arr.dtype.kind == "c":
             raise ElementKindError("step is undefined for complex values")

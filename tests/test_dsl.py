@@ -398,6 +398,12 @@ def test_cli_eval_on_a_size_zero_dimension(capsys, text, dims):
     assert json.loads(capsys.readouterr().out)["dims"] == dims
 
 
+@pytest.mark.parametrize("precision", ["1e300", "log(0) - log(0)", "log(0)", "2.5", "zeros(1,0)"])
+def test_round_precision_that_is_not_an_integer_is_reported(capsys, precision):
+    assert rt_main(["eval", f"round(ones(2), {precision})"]) == 1
+    assert "error: round precision must be one integer" in capsys.readouterr().err
+
+
 def test_cli_eval_summary(capsys):
     assert rt_main(["eval", "rand(2,3)"]) == 0
     out = capsys.readouterr().out

@@ -14,7 +14,7 @@ from rtensor import (
     page_transpose,
     with_indices,
 )
-from rtensor.errors import DimMismatchError, ElementKindError, OperandKindError
+from rtensor.errors import BoundsError, DimMismatchError, ElementKindError, OperandKindError
 
 from oracles import loop_ewise
 
@@ -268,6 +268,12 @@ def test_step_is_strictly_positive_test():
 def test_round_precision():
     t = Tensor(np.array([[3.14159]]))
     assert ewise_unary("round", t, 2).entries.ravel()[0] == 3.14
+
+
+@pytest.mark.parametrize("p", [1e300, np.nan, np.inf, 0.5, 309, np.array([1, 2]), 1j])
+def test_round_rejects_a_precision_that_is_not_one_bounded_integer(p):
+    with pytest.raises(BoundsError):
+        ewise_unary("round", Tensor(np.array([[3.14159]])), p)
 
 
 def test_not_requires_boolean():
