@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -236,8 +238,42 @@ def test_concat_before_the_first_dimension():
 
 
 def test_array_helpers_stay_out_of_the_package_namespace():
+    import inspect
+
     import rtensor
 
-    for name in ("page_cat", "AlignmentPlan2", "AlignmentPlanN"):
+    for name in ("page_cat", "AlignmentPlan2", "AlignmentPlanN",
+                 "complement", "same_id", "variant", "as_true", "as_false"):
         assert name not in rtensor.__all__
-        assert not hasattr(rtensor, name)
+        assert not hasattr(rtensor, name) and not hasattr(rtensor.indices, name)
+    assert not hasattr(rtensor.Tensor, "dim_of")
+    assert list(inspect.signature(rtensor.alignn).parameters) == ["operands"]
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    """Each name in ``rtensor.__all__`` is referenced under src/, scripts/ or
+    perfbench/, outside its own definition and outside any test."""
+    import ast
+
+    import rtensor
+
+    used = set()
+
+    def visit(node, defining):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defining = defining | {node.name}
+        elif isinstance(node, ast.Name) and node.id not in defining:
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in defining:
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module:  # `from .errors import`
+            used.update(node.module.split("."))
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    root = Path(__file__).resolve().parents[1]
+    for top in ("src", "scripts", "perfbench"):
+        for path in (root / top).rglob("*.py"):
+            if "tests" not in path.relative_to(root).parts:
+                visit(ast.parse(path.read_text()), frozenset())
+    assert [name for name in rtensor.__all__ if name not in used] == []
