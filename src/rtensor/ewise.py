@@ -169,8 +169,8 @@ def _decimals(p) -> int:
 def ewise_unary(fn: str, t, p=None) -> Tensor:
     """Entrywise unary function; indices unchanged.
 
-    ``round`` takes a decimal-precision argument, one integer or a one-entry
-    array of one, 0 by default.  ``step`` maps positive
+    ``round`` takes a decimal precision, 0 by default: one integer in
+    -308..308, as a number or a one-entry array.  ``step`` maps positive
     entries to 1 and the rest, zero included, to 0, so ``step(-x)`` filters
     strictly negative values.
     """

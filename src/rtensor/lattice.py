@@ -16,12 +16,12 @@ columns fold in as the leading factor of their group.  A 1x1 operand's matrix
 axes fold into its summed (product) or equation (division) group as size-1
 axes, and the other operand's rows and columns join its outer group, so
 scaling runs through the same kernel.  In a product, a page index of size 1
-in one operand and larger in the other is an outer index: it folds into the
-left operand's rows and the right one's columns, after the leftovers, where
-the size-1 side's axis has no effect.  The broadcast then costs no batch
-axis, and a pages-last operand often folds to a free reshape.  Divisions keep
-one axis per page index, and a size-1 page broadcasts inside the batched
-solve.
+in one operand and of another size (0 included) in the other is an outer
+index: it folds into the left operand's rows and the right one's columns,
+after the leftovers, where the size-1 side's axis has no effect.  The
+broadcast then costs no batch axis, and a pages-last operand often folds to
+a free reshape.  Divisions keep one axis per page index, and a size-1 page
+broadcasts inside the batched solve.
 
 Divisions complement every index of the denominator operand before alignment,
 so writing the denominator with complemented indices relative to the numerator
@@ -147,8 +147,8 @@ def product(a, b) -> Tensor:
         )
     lo, ro, inner = plan.left_outer_ids, plan.right_outer_ids, plan.inner_ids
     # a page of size 1 on one side joins both outer groups after the
-    # leftovers, so the other side's pages fold into one matrix multiply; the
-    # page spreads by the other side's size, 0 included, as numpy broadcasts
+    # leftovers, so the other side's pages, whatever their size (0 included,
+    # as numpy broadcasts), fold into one matrix multiply
     kept = [h for h in plan.page_ids if sa[h.id] == sb[h.id]]
     a_spread = [h for h in plan.page_ids if sa[h.id] != 1 and sb[h.id] == 1]
     b_spread = [h for h in plan.page_ids if sa[h.id] == 1 and sb[h.id] != 1]
