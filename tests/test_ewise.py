@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 from rtensor import (
     Tensor,
     alignn,
+    concat,
     equal_all,
     ewise_binary,
     ewise_unary,
-    concat,
     fresh,
     fresh_many,
     page_transpose,
