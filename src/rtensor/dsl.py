@@ -33,7 +33,7 @@ import numpy as np
 from . import ewise, lattice, pagewise
 from .errors import EngineError, ExprSyntaxError, SubscriptKindError, UnknownNameError
 from .indices import IndexHandle, fresh
-from .tensor import Tensor, assign, from_array
+from .tensor import Tensor, _operand, assign, from_array
 
 __all__ = [
     "parse",
@@ -406,14 +406,6 @@ class Environment:
         return None
 
 
-def _as_value_tensor(value) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return Tensor(np.array([[bool(value)]]))
-    return Tensor(np.array([[float(value)]]))
-
-
 def _shape_args(args) -> tuple[int, ...]:
     dims = []
     for a in args:
@@ -451,15 +443,15 @@ def evaluate(node, env: Environment):
         return from_array(t.slice(subs))[0]
     if isinstance(node, Unary):
         val = evaluate(node.operand, env)
-        return val if node.op == "pos" else ewise.ewise_unary(node.op, _as_value_tensor(val))
+        return val if node.op == "pos" else ewise.ewise_unary(node.op, val)
     if isinstance(node, Postfix):
-        val = _as_value_tensor(evaluate(node.operand, env))
+        val = evaluate(node.operand, env)
         if node.op == "'":
             return pagewise.page_ctranspose(val)
         return pagewise.page_transpose(val)
     if isinstance(node, Binary):
-        lhs = _as_value_tensor(evaluate(node.lhs, env))
-        rhs = _as_value_tensor(evaluate(node.rhs, env))
+        lhs = evaluate(node.lhs, env)
+        rhs = evaluate(node.rhs, env)
         if node.op in _LATTICE_OPS:
             return getattr(lattice, _LATTICE_OPS[node.op])(lhs, rhs)
         return ewise.ewise_binary(_EWISE_NAMES.get(node.op, node.op), lhs, rhs)
@@ -468,8 +460,8 @@ def evaluate(node, env: Environment):
     if isinstance(node, Bracket):
         row_values = []
         for row in node.rows:
-            items = [_as_value_tensor(evaluate(item, env)) for item in row]
-            row_values.append(items[0] if len(items) == 1 else pagewise.horzcat(*items))
+            items = [evaluate(item, env) for item in row]
+            row_values.append(_operand(items[0]) if len(items) == 1 else pagewise.horzcat(*items))
         if len(row_values) == 1:
             return row_values[0]
         return pagewise.vertcat(*row_values)
@@ -477,12 +469,12 @@ def evaluate(node, env: Environment):
         value = evaluate(node.value, env)
         target = node.target
         if target.subs is None:
-            env.tensors[target.name] = _as_value_tensor(value)
+            env.tensors[target.name] = _operand(value)
             return env.tensors[target.name]
         if not all(isinstance(s, IndexSub) for s in target.subs):
             raise SubscriptKindError("assignment subscripts must be index names")
         handles = [_handle(s, env) for s in target.subs]
-        result = assign(env.tensors.get(target.name), handles, _as_value_tensor(value))
+        result = assign(env.tensors.get(target.name), handles, _operand(value))
         env.tensors[target.name] = result
         return result
     raise TypeError(f"cannot evaluate {node!r}")
@@ -492,14 +484,14 @@ def _call(node: Call, env: Environment):
     fn = node.fn
     if fn == "cat":
         where = node.args[0]
-        operands = [_as_value_tensor(evaluate(a, env)) for a in node.args[1:]]
+        operands = [evaluate(a, env) for a in node.args[1:]]
         if isinstance(where, IndexSub):
             return pagewise.concat(_handle(where, env), operands)
         if isinstance(where, NumSub):
             return pagewise.concat(int(where.value) - 1, operands)
         raise SubscriptKindError("cat needs an index name or dimension number first")
     if fn == "isequal":
-        return ewise.equal_all([_as_value_tensor(evaluate(a, env)) for a in node.args])
+        return ewise.equal_all([evaluate(a, env) for a in node.args])
     if fn in ("ones", "zeros", "rand"):
         dims = _shape_args(node.args)
         shape = dims if len(dims) > 1 else (dims[0],)
@@ -510,14 +502,13 @@ def _call(node: Call, env: Environment):
         else:
             arr = env.rng.uniform(size=shape)
         return from_array(arr)[0]  # fresh true-variant indices per tensor dim
-    args = [evaluate(a, env) for a in node.args]
-    first = _as_value_tensor(args[0])
+    first, *rest = [evaluate(a, env) for a in node.args]
     if fn == "trace":
         return pagewise.page_trace(first)
     if fn == "diag":
         return pagewise.page_diag(first)
     if fn == "round":
-        p = _as_value_tensor(args[1]).entries if len(args) > 1 else None
+        p = _operand(rest[0]).entries if rest else None
         return ewise.ewise_unary("round", first, p)
     if fn in ("abs", "log", "exp", "conj", "step"):
         return ewise.ewise_unary(fn, first)
@@ -539,13 +530,8 @@ class ScriptReport:
 
 
 def _truthy(value) -> bool:
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, Tensor):
-        if value.entries.size == 0:
-            return False
-        return bool(np.all(value.entries != 0))
-    return bool(value)
+    entries = _operand(value).entries
+    return entries.size > 0 and bool(np.all(entries != 0))
 
 
 def summarize(value, env: Environment | None = None) -> str:

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundsError, DimMismatchError, ElementKindError, OperandKindError
+from .errors import BoundsError, DimMismatchError, ElementKindError
 from .indices import IndexHandle
-from .tensor import Tensor, _arithmetic, as_element_kind
+from .tensor import Tensor, _arithmetic, _operand
 
 __all__ = ["AlignmentPlanN", "alignn", "ewise_binary", "ewise_unary", "equal_all"]
 
@@ -30,42 +30,22 @@ class AlignmentPlanN:
     contract_ids: tuple[IndexHandle, ...]
 
 
-def _coerce_plain(op) -> np.ndarray:
-    """A plain operand as a 2D array of a tensor element kind; 1-D is one row."""
-    arr = as_element_kind(op)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    elif arr.ndim == 1:
-        arr = arr.reshape(1, arr.shape[0])
-    if arr.ndim != 2:
-        raise OperandKindError("plain operands must be 2D arrays")
-    return arr
-
-
-def _prepare(op):
-    """An operand as alignment takes it: a simplified tensor or a 2D array."""
-    return op.simplify() if isinstance(op, Tensor) else _coerce_plain(op)
-
-
 def alignn(operands):
     """Align N operands on their index union.
 
     Returns the aligned entry arrays (full rank ``2 + len(union)``) and the
-    :class:`AlignmentPlanN`.  Plain 2D arrays pass through reshaped with
-    singleton tensor dimensions.
+    :class:`AlignmentPlanN`.  Plain operands take part as index-free tensors.
     """
-    return _align([_prepare(op) for op in operands], ())
+    return _align([_operand(op) for op in operands], ())
 
 
 def _align(ops, skip):
-    """:func:`alignn`'s body, for operands already prepared.  ``skip`` lists
+    """:func:`alignn`'s body, for tensors already simplified.  ``skip`` lists
     identities whose sizes may differ across operands (index concatenation)."""
     union: list[IndexHandle] = []
     seen: dict[int, bool] = {}
     both: set[int] = set()
     for op in ops:
-        if not isinstance(op, Tensor):
-            continue
         for h in op.indices:
             if h.id not in seen:
                 seen[h.id] = h.variant
@@ -74,8 +54,6 @@ def _align(ops, skip):
                 both.add(h.id)
     sizes: dict[int, int] = {}
     for op in ops:
-        if not isinstance(op, Tensor):
-            continue
         shape = op.entries.shape
         for t, h in enumerate(op.indices, 2):
             n = shape[t]
@@ -86,10 +64,7 @@ def _align(ops, skip):
                     f"index {h!r} has sizes {sizes[h.id]} and {n} across operands"
                 )
     groups = [[0], [1]] + [[h] for h in union]
-    aligned = [
-        op.fold(groups) if isinstance(op, Tensor) else op.reshape(op.shape + (1,) * len(union))
-        for op in ops
-    ]
+    aligned = [op.fold(groups) for op in ops]
     contract = tuple(h for h in union if h.id in both)
     return aligned, AlignmentPlanN(tuple(union), contract)
 
@@ -174,8 +149,7 @@ def ewise_unary(fn: str, t, p=None) -> Tensor:
     entries to 1 and the rest, zero included, to 0, so ``step(-x)`` filters
     strictly negative values.
     """
-    if not isinstance(t, Tensor):
-        t = Tensor._wrap(_coerce_plain(t), ())
+    t = _operand(t)
     arr = t.entries
     if fn == "not":
         if arr.dtype != np.bool_:
@@ -203,7 +177,7 @@ def equal_all(operands) -> bool:
     variant by another makes the answer False outright, matching how a column
     vector never equals its transposed row.  NaN compares unequal.
     """
-    ops = [_prepare(op) for op in operands]
+    ops = [_operand(op) for op in operands]
     if len(ops) < 2:
         return True
     try:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DimMismatchError, SingularPageError
 from .indices import IndexHandle
-from .tensor import Tensor
+from .tensor import Tensor, _operand
 
 __all__ = ["AlignmentPlan2", "align2", "product", "solve_left", "solve_right"]
 
@@ -79,12 +79,6 @@ def align2(a_indices, b_indices) -> AlignmentPlan2:
     matched = {h.id for h in inner} | {h.id for h in pages}
     right_outer = [h for h in b_indices if h.id not in matched]
     return AlignmentPlan2(tuple(inner), tuple(pages), tuple(left_outer), tuple(right_outer))
-
-
-def _as_tensor(op) -> Tensor:
-    if isinstance(op, Tensor):
-        return op.simplify()
-    return Tensor(op)
 
 
 def _id_sizes(t: Tensor) -> dict[int, int]:
@@ -130,8 +124,8 @@ def product(a, b) -> Tensor:
     leftovers, then the right leftovers, then the pages with the left
     operand's variants.
     """
-    a = _as_tensor(a)
-    b = _as_tensor(b)
+    a = _operand(a)
+    b = _operand(b)
     plan = align2(a.indices, b.indices)
     sa, sb = _check_matched_sizes(a, b, plan)
     # matrix axes of each operand's outer and summed groups
@@ -272,13 +266,13 @@ def solve_left(a, b) -> Tensor:
     the solution carries those complemented leftovers first, then the
     numerator's leftovers, then the pages.
     """
-    den = _complement_all(_as_tensor(a))
-    num = _as_tensor(b)
+    den = _complement_all(_operand(a))
+    num = _operand(b)
     return _solve_common(den, num, den_left=True)
 
 
 def solve_right(b, a) -> Tensor:
     """``b / a``: solve the system implied by ``product(u, a) == b``."""
-    den = _complement_all(_as_tensor(a))
-    num = _as_tensor(b)
+    den = _complement_all(_operand(a))
+    num = _operand(b)
     return _solve_common(den, num, den_left=False)

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import DimMismatchError, IndexArityError, UnknownIndexError
 from .ewise import _align
 from .indices import IndexHandle
-from .tensor import Tensor, _arithmetic
+from .tensor import Tensor, _arithmetic, _operand
 
 __all__ = [
     "page_transpose",
@@ -31,27 +31,31 @@ def _flip(indices):
     return tuple(~h for h in indices)
 
 
-def page_transpose(t: Tensor) -> Tensor:
+def page_transpose(t) -> Tensor:
     """Swap rows and columns per page and complement every index variant."""
+    t = _operand(t)
     return Tensor._wrap(np.swapaxes(t.entries, 0, 1), _flip(t.indices))
 
 
-def page_ctranspose(t: Tensor) -> Tensor:
+def page_ctranspose(t) -> Tensor:
     """Conjugate transpose per page; conjugates entries and complements variants."""
+    t = _operand(t)
     x = np.swapaxes(t.entries, 0, 1)
     return Tensor._wrap(np.conj(x, dtype=_arithmetic(x.dtype)), _flip(t.indices))
 
 
-def page_trace(t: Tensor) -> Tensor:
+def page_trace(t) -> Tensor:
     """Sum of the main diagonal per page; pages become 1x1, degree preserved."""
+    t = _operand(t)
     if t.rows != t.cols:
         raise DimMismatchError(f"trace needs square pages, got {t.rows}x{t.cols}")
     tr = np.trace(t.entries, axis1=0, axis2=1, dtype=_arithmetic(t.entries.dtype))
     return Tensor._wrap(np.reshape(tr, (1, 1) + t.tensor_dims), t.indices)
 
 
-def page_diag(t: Tensor) -> Tensor:
+def page_diag(t) -> Tensor:
     """Main diagonal per page as column-vector pages; degree preserved."""
+    t = _operand(t)
     d = np.diagonal(t.entries, axis1=0, axis2=1)  # (*tensor_dims, min(r, c))
     d = np.moveaxis(d, -1, 0)
     return Tensor._wrap(d.reshape((d.shape[0], 1) + t.tensor_dims), t.indices)
@@ -83,8 +87,7 @@ def concat(where, operands) -> Tensor:
     columns names the union's identity at that position, whose sizes may
     differ across operands as with the index form.
     """
-    ops = [(op if isinstance(op, Tensor) else Tensor(np.asarray(op))).simplify()
-           for op in operands]
+    ops = [_operand(op) for op in operands]
     union = list(dict.fromkeys(h.id for op in ops for h in op.indices))  # as _align's
     if isinstance(where, IndexHandle):
         for op in ops:

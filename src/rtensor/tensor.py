@@ -25,6 +25,7 @@ from .errors import (
     DimMismatchError,
     ElementKindError,
     IndexArityError,
+    OperandKindError,
     SubscriptKindError,
     UnknownIndexError,
 )
@@ -110,8 +111,8 @@ class Tensor:
     singleton dimensions are materialized at construction so each index owns
     one array dimension.  ``entries`` may share memory with the array passed
     in: the caller must not mutate that array afterwards.  Duplicate
-    identities in the index list are allowed until :meth:`simplify` runs; the
-    alignment engines simplify their operands on entry.
+    identities in the index list are allowed until :meth:`simplify` runs;
+    every engine operation simplifies its operands on entry.
 
     The public constructor checks and coerces its input into that invariant.
     Arrays the engine builds itself already hold it, so the engine wraps them
@@ -359,6 +360,18 @@ class Tensor:
         order = [i for i in kept if i not in label] + [i for i in kept if i in label]
         return Tensor._wrap(out.transpose([0, 1] + [2 + order.index(i) for i in kept]),
                             [self.indices[axes[i][0] - 2] for i in kept])
+
+
+def _operand(op) -> Tensor:
+    """``op`` as every engine operation takes it: a tensor simplified, and any
+    other value as an index-free tensor of a tensor element kind, where 0-D
+    is 1x1, 1-D is one row and 2-D stays as it is."""
+    if isinstance(op, Tensor):
+        return op.simplify()
+    arr = as_element_kind(op)
+    if arr.ndim > 2:
+        raise OperandKindError(f"plain operands must be at most 2D, got {arr.ndim}D")
+    return Tensor._wrap(arr.reshape((1,) * (2 - arr.ndim) + arr.shape), ())
 
 
 def _is_colon(s) -> bool:
