@@ -31,7 +31,9 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from . import ewise, lattice, pagewise
-from .errors import EngineError, ExprSyntaxError, SubscriptKindError, UnknownNameError
+from .errors import (
+    BoundsError, EngineError, ExprSyntaxError, SubscriptKindError, UnknownNameError,
+)
 from .indices import IndexHandle, fresh
 from .tensor import Tensor, _operand, assign, from_array
 
@@ -495,12 +497,16 @@ def _call(node: Call, env: Environment):
     if fn in ("ones", "zeros", "rand"):
         dims = _shape_args(node.args)
         shape = dims if len(dims) > 1 else (dims[0],)
-        if fn == "ones":
-            arr = np.ones(shape)
-        elif fn == "zeros":
-            arr = np.zeros(shape)
-        else:
-            arr = env.rng.uniform(size=shape)
+        try:
+            if fn == "ones":
+                arr = np.ones(shape)
+            elif fn == "zeros":
+                arr = np.zeros(shape)
+            else:
+                arr = env.rng.uniform(size=shape)
+        except (MemoryError, ValueError):  # too large to allocate, or to address
+            raise BoundsError(
+                f"{fn}({', '.join(map(str, dims))}) is too large to allocate") from None
         return from_array(arr)[0]  # fresh true-variant indices per tensor dim
     first, *rest = [evaluate(a, env) for a in node.args]
     if fn == "trace":

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BoundsError, DimMismatchError, ElementKindError
 from .indices import IndexHandle
-from .tensor import Tensor, _arithmetic, _operand
+from .tensor import Tensor, _arithmetic, _check_degree, _ieee, _operand
 
 __all__ = ["AlignmentPlanN", "alignn", "ewise_binary", "ewise_unary", "equal_all"]
 
@@ -52,6 +52,7 @@ def _align(ops, skip):
                 union.append(h)
             elif seen[h.id] != h.variant:
                 both.add(h.id)
+    _check_degree(len(union))
     sizes: dict[int, int] = {}
     for op in ops:
         shape = op.entries.shape
@@ -106,7 +107,7 @@ def ewise_binary(op: str, a, b) -> Tensor:
             )
     if op in _ARITH:
         xa, xb = (x.astype(_arithmetic(x.dtype), copy=False) for x in (xa, xb))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with _ieee():
             out = _ARITH[op](xa, xb)
     elif op in _RELATION:
         if op in _ORDERED and "c" in (xa.dtype.kind, xb.dtype.kind):
@@ -141,6 +142,20 @@ def _decimals(p) -> int:
     return int(p[0])
 
 
+def _round(x: np.ndarray, p: int) -> np.ndarray:
+    """``np.round(x, p)``, except that a finite entry whose rounding
+    overflows (``np.round`` scales by ``10**p`` first) is returned as it is:
+    it has no digits below ``10**-p``.  Real and imaginary parts round apart."""
+    if x.dtype.kind == "c":
+        out = np.empty(x.shape, x.dtype)
+        out.real, out.imag = _round(x.real, p), _round(x.imag, p)
+        return out
+    with _ieee():
+        out = np.round(x, p)
+    np.copyto(out, x, where=np.isinf(out))  # an infinite x rounds to itself
+    return out
+
+
 def ewise_unary(fn: str, t, p=None) -> Tensor:
     """Entrywise unary function; indices unchanged.
 
@@ -157,13 +172,13 @@ def ewise_unary(fn: str, t, p=None) -> Tensor:
         return Tensor._wrap(np.logical_not(arr), t.indices)
     arr = arr.astype(_arithmetic(arr.dtype), copy=False)  # booleans compute as reals
     if fn == "round":
-        out = np.round(arr, _decimals(p))
+        out = _round(arr, _decimals(p))
     elif fn == "step":
         if arr.dtype.kind == "c":
             raise ElementKindError("step is undefined for complex values")
         out = (arr > 0).astype(np.float64)
     elif fn in _UNARY:
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with _ieee():
             out = _UNARY[fn](arr)
     else:
         raise ValueError(f"unknown entrywise function {fn!r}")

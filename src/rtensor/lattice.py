@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DimMismatchError, SingularPageError
 from .indices import IndexHandle
-from .tensor import Tensor, _operand
+from .tensor import Tensor, _check_degree, _ieee, _operand
 
 __all__ = ["AlignmentPlan2", "align2", "product", "solve_left", "solve_right"]
 
@@ -78,6 +78,7 @@ def align2(a_indices, b_indices) -> AlignmentPlan2:
             inner.append(h)
     matched = {h.id for h in inner} | {h.id for h in pages}
     right_outer = [h for h in b_indices if h.id not in matched]
+    _check_degree(len(left_outer) + len(right_outer) + len(pages))
     return AlignmentPlan2(tuple(inner), tuple(pages), tuple(left_outer), tuple(right_outer))
 
 
@@ -100,11 +101,6 @@ def _check_matched_sizes(a: Tensor, b: Tensor, plan: AlignmentPlan2):
         if na != nb and 1 not in (na, nb):
             raise DimMismatchError(f"page index {h!r} has sizes {na} and {nb}")
     return sa, sb
-
-
-# The product's kernel.  Like the entrywise operations and Tensor.sum it is
-# silent where inf meets 0 or -inf: those entries are NaN.
-_matmul = np.errstate(invalid="ignore", over="ignore")(np.matmul)
 
 
 def _unfold(x: np.ndarray, axes, order) -> np.ndarray:
@@ -150,7 +146,8 @@ def product(a, b) -> Tensor:
     pages = [[h] for h in kept]
     xa = a._packed_fold(pages + [[*a_out, *lo, *spread], [*a_sum, *inner]])
     xb = b._packed_fold(pages + [[*b_sum, *inner], [*b_out, *ro, *spread]])
-    out = _matmul(xa, xb)  # (*kept, rows, cols), one blocked kernel per page
+    with _ieee():
+        out = np.matmul(xa, xb)  # (*kept, rows, cols), one blocked kernel per page
     # out's axes: kept pages, A's outer group, B's outer group
     da, db = a.entries.shape, b.entries.shape
     axes = ([(h.id, sa[h.id]) for h in kept]

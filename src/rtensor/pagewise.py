@@ -14,7 +14,7 @@ import numpy as np
 from .errors import DimMismatchError, IndexArityError, UnknownIndexError
 from .ewise import _align
 from .indices import IndexHandle
-from .tensor import Tensor, _arithmetic, _operand
+from .tensor import Tensor, _arithmetic, _ieee, _operand
 
 __all__ = [
     "page_transpose",
@@ -49,7 +49,8 @@ def page_trace(t) -> Tensor:
     t = _operand(t)
     if t.rows != t.cols:
         raise DimMismatchError(f"trace needs square pages, got {t.rows}x{t.cols}")
-    tr = np.trace(t.entries, axis1=0, axis2=1, dtype=_arithmetic(t.entries.dtype))
+    with _ieee():
+        tr = np.trace(t.entries, axis1=0, axis2=1, dtype=_arithmetic(t.entries.dtype))
     return Tensor._wrap(np.reshape(tr, (1, 1) + t.tensor_dims), t.indices)
 
 

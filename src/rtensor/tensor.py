@@ -70,6 +70,12 @@ def _arithmetic(dtype) -> np.dtype:
     return np.promote_types(dtype, np.float64)
 
 
+def _ieee() -> np.errstate:
+    """The floating-point policy of every engine kernel: overflow, division by
+    zero and invalid operations give inf and NaN silently, never a warning."""
+    return np.errstate(divide="ignore", invalid="ignore", over="ignore")
+
+
 def _trimmed_ndim(shape: tuple[int, ...]) -> int:
     """Number of dimensions once trailing singletons are dropped, at least 2."""
     nd = len(shape)
@@ -78,9 +84,20 @@ def _trimmed_ndim(shape: tuple[int, ...]) -> int:
     return max(nd, 2)
 
 
+# numpy arrays hold at most 64 axes, and rows and columns take two of them
+_MAX_DEGREE = 62
+
+
+def _check_degree(degree: int) -> None:
+    """Reject a result degree no array can hold, before any array is built."""
+    if degree > _MAX_DEGREE:
+        raise IndexArityError(f"degree {degree} exceeds the {_MAX_DEGREE} indices an array holds")
+
+
 def _fit(arr: np.ndarray, degree: int) -> np.ndarray:
     """``arr`` with exactly ``2 + degree`` dimensions: trailing singletons are
     dropped or added; the caller has checked that no other axis is dropped."""
+    _check_degree(degree)
     if arr.ndim == 2 + degree:
         return arr
     target = arr.shape[:2 + degree]
@@ -308,6 +325,7 @@ class Tensor:
         ids = [h.id for h in new_idx]
         if len(set(ids)) != len(ids):
             raise SubscriptKindError("permutation lists an identity twice")
+        _check_degree(len(ids))
         own = {h.id: h for h in self.indices}
         for h in self.indices:
             if h.id not in ids:
@@ -321,7 +339,7 @@ class Tensor:
         axes = tuple(t + 2 for t, h in enumerate(self.indices) if h.id in over_ids)
         if not axes:
             return self
-        with np.errstate(invalid="ignore", over="ignore"):  # as the entrywise step
+        with _ieee():
             arr = self.entries.sum(axis=axes, dtype=_arithmetic(self.entries.dtype))
         return Tensor._wrap(arr, [h for h in self.indices if h.id not in over_ids])
 

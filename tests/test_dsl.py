@@ -404,6 +404,44 @@ def test_round_precision_that_is_not_an_integer_is_reported(capsys, precision):
     assert "error: round precision must be one integer" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("text", [
+    "exp(1000*ones(1))",
+    "(1e300*ones(1)) .* (1e300*ones(1))",
+    "(1e300*ones(1)) ./ (1e-300*ones(1))",
+    "(1e300*ones(1)) .^ 2",
+    "x(i) .* y(~i)",
+    "trace(1e308*ones(2,2))",
+])
+def test_overflow_gives_inf_without_a_warning(text):
+    env = Environment()
+    for name in "xy":
+        env.tensors[name] = evaluate(parse("1e200*ones(3)")[1], env)
+    assert np.all(np.isposinf(evaluate(parse(text)[1], env).entries))
+
+
+def _subs(name, n):
+    return ",".join(f"{name}{k}" for k in range(n))
+
+
+@pytest.mark.parametrize("text, degree", [
+    pytest.param(f"a({_subs('i', 63)})", 63, id="reindex"),
+    pytest.param(f"b({_subs('i', 63)}) = a", 63, id="assign"),
+    pytest.param(f"a({_subs('j', 40)}) * a({_subs('k', 40)})", 80, id="product"),
+    pytest.param(f"a({_subs('j', 40)}) + a({_subs('k', 40)})", 80, id="add"),
+])
+def test_a_degree_beyond_numpys_axis_limit_is_reported(capsys, text, degree):
+    assert rt_main(["eval", text, "--define", "a=ones(1,1)"]) == 1
+    assert f"error: degree {degree} exceeds the 62 indices" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fn", ["ones", "zeros", "rand"])
+@pytest.mark.parametrize("n", [100000, 10000000000])  # petabytes: fails before allocating
+def test_an_array_too_large_to_allocate_is_reported(capsys, fn, n):
+    assert rt_main(["eval", f"{fn}({n},{n},{n})"]) == 1
+    assert f"error: {fn}({n}, {n}, {n}) is too large to allocate" in capsys.readouterr().err
+
+
 def test_cli_eval_summary(capsys):
     assert rt_main(["eval", "rand(2,3)"]) == 0
     out = capsys.readouterr().out

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rtensor
 from rtensor import (
     Tensor,
     alignn,
@@ -11,10 +12,24 @@ from rtensor import (
     ewise_unary,
     fresh,
     fresh_many,
+    horzcat,
+    page_ctranspose,
+    page_diag,
+    page_trace,
     page_transpose,
+    product,
+    solve_left,
+    solve_right,
+    vertcat,
     with_indices,
 )
-from rtensor.errors import BoundsError, DimMismatchError, ElementKindError, OperandKindError
+from rtensor.errors import (
+    BoundsError,
+    DimMismatchError,
+    ElementKindError,
+    EngineError,
+    OperandKindError,
+)
 
 from oracles import loop_ewise
 
@@ -77,17 +92,81 @@ def test_alignn_plain_passthrough_requires_2d():
 def test_plain_operands_take_tensor_element_kinds(plain, kind):
     t = vec([1, 2], fresh())
     if kind is None:
-        for call in (lambda: ewise_binary("+", plain, t), lambda: ewise_unary("conj", plain),
-                     lambda: equal_all([plain, t])):
+        for call in ROW_CALLS.values():
             with pytest.raises(ElementKindError):
-                call()
+                call(plain, t)
         return
     as_tensor = Tensor(np.atleast_2d(plain))
     assert alignn([plain])[0][0].dtype == kind
-    np.testing.assert_array_equal(
-        ewise_binary("+", plain, t).entries, ewise_binary("+", as_tensor, t).entries
-    )
+    for name, call in ROW_CALLS.items():
+        assert _outcome(call, plain, t) == _outcome(call, as_tensor, t), name
     assert equal_all([plain, as_tensor])
+
+
+def _aligned(*operands):
+    """:func:`alignn`'s first aligned operand, as a tensor over the union."""
+    aligned, plan = alignn(list(operands))
+    return Tensor(aligned[0], plan.union_indices)
+
+
+# every public engine operation that takes operands, with x in one operand
+# slot and t in the others; the unary ones ignore t
+ROW_CALLS = {
+    "product": lambda x, t: product(x, t),
+    "solve_left": lambda x, t: solve_left(t, x),
+    "solve_right": lambda x, t: solve_right(x, t),
+    "alignn": _aligned,
+    "ewise_binary": lambda x, t: ewise_binary("+", t, x),
+    "ewise_unary": lambda x, t: ewise_unary("conj", x),
+    "equal_all": lambda x, t: equal_all([x, x]),
+    "concat": lambda x, t: concat("cols", [x, t]),
+    "horzcat": horzcat,
+    "vertcat": lambda x, t: vertcat(x, x),
+    "page_transpose": lambda x, t: page_transpose(x),
+    "page_ctranspose": lambda x, t: page_ctranspose(x),
+    "page_trace": lambda x, t: page_trace(x),
+    "page_diag": lambda x, t: page_diag(x),
+}
+
+
+def _outcome(call, *args):
+    """What ``call`` gives: a tensor's dtype, entries and indices, a bool, or
+    the type of the engine error it raised."""
+    try:
+        out = call(*args)
+    except EngineError as exc:
+        return type(exc)
+    if isinstance(out, Tensor):
+        return out.entries.dtype, out.entries.tolist(), out.indices
+    return out
+
+
+# the names of rtensor.__all__ that take no engine operand
+NOT_OPERAND_TAKING = {"IndexHandle", "fresh", "fresh_many", "Tensor", "from_array",
+                      "with_indices", "assign", "align2", "errors"}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_CALLS))
+@pytest.mark.parametrize("value, error", [
+    (None, ElementKindError),
+    ("ab", ElementKindError),
+    (np.zeros((2, 2, 2)), OperandKindError),
+    (np.array([[1, "x"]], dtype=object), ElementKindError),
+    ([1, 2], None),
+    (2.0, None),
+])
+def test_every_operand_taking_name_returns_a_value_or_an_engine_error(name, value, error):
+    assert set(ROW_CALLS) == set(rtensor.__all__) - NOT_OPERAND_TAKING
+    call = ROW_CALLS[name]
+    if error is not None:
+        with pytest.raises(error):
+            call(value, value)
+        return
+    try:
+        out = call(value, value)
+    except EngineError:
+        return
+    assert isinstance(out, (Tensor, bool))
 
 
 # -- binary ----------------------------------------------------------------------
@@ -276,11 +355,38 @@ def test_round_rejects_a_precision_that_is_not_one_bounded_integer(p):
         ewise_unary("round", Tensor(np.array([[3.14159]])), p)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("x, p, want", [
+    (1e300, 10, 1e300),
+    (1.7e308, -308, 1.7e308),
+    (1.25e-3, 300, 1.25e-3),
+    (1e300 + 0.123456789012j, 10, complex(1e300, np.round(0.123456789012, 10))),
+    (0.123456789012 + 1e300j, 10, complex(np.round(0.123456789012, 10), 1e300)),
+])
+def test_round_keeps_an_entry_whose_scaling_overflows(x, p, want):
+    """A finite entry has no digits below ``10**-p`` when ``x * 10**p``
+    overflows; real and imaginary parts round apart."""
+    got = ewise_unary("round", np.array([[x, -x]]), p).entries
+    np.testing.assert_array_equal(got, [[want, -want]])
+
+
 def test_not_requires_boolean():
     with pytest.raises(ElementKindError):
         ewise_unary("not", Tensor(np.array([[1.0]])))
     got = ewise_unary("not", Tensor(np.array([[True, False]])))
     np.testing.assert_array_equal(got.entries.ravel(), [False, True])
+
+
+@pytest.mark.parametrize("call", [lambda t: ewise_unary("exp", t), page_transpose,
+                                  page_ctranspose, page_trace, page_diag])
+def test_unary_operations_simplify_a_tensor_on_entry(call):
+    """``exp(x(i,~i))`` in the ``rt`` language is exp of the trace, because
+    ``reindex`` simplifies; the API gives the same on ``with_indices``."""
+    i = fresh()
+    t = with_indices(np.random.default_rng(3).uniform(size=(1, 1, 3, 3)), [i, ~i])
+    got = call(t)
+    assert got.indices == ()
+    assert _outcome(call, t) == _outcome(call, t.simplify())
 
 
 # -- equal_all ----------------------------------------------------------------------
