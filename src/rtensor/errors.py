@@ -31,7 +31,7 @@ class AssignKindError(EngineError):
 
 
 class OperandKindError(EngineError):
-    """A plain-array operand was not a 2D array."""
+    """A plain (index-free) operand had more than two dimensions."""
 
 
 class ElementKindError(EngineError):

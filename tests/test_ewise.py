@@ -81,28 +81,6 @@ def test_alignn_plain_passthrough_requires_2d():
     assert aligned[0].shape == (2, 3)
 
 
-@pytest.mark.parametrize("plain, kind", [
-    ("ab", None),
-    (np.array([[1, "x"]], dtype=object), None),
-    (np.array([[True, False]]), np.bool_),
-    (np.array([[1, 2]]), np.float64),
-    ([1, 2], np.float64),  # 1-D reads as one row
-    (np.array([[1j, 2]], dtype=np.complex64), np.complex128),
-])
-def test_plain_operands_take_tensor_element_kinds(plain, kind):
-    t = vec([1, 2], fresh())
-    if kind is None:
-        for call in ROW_CALLS.values():
-            with pytest.raises(ElementKindError):
-                call(plain, t)
-        return
-    as_tensor = Tensor(np.atleast_2d(plain))
-    assert alignn([plain])[0][0].dtype == kind
-    for name, call in ROW_CALLS.items():
-        assert _outcome(call, plain, t) == _outcome(call, as_tensor, t), name
-    assert equal_all([plain, as_tensor])
-
-
 def _aligned(*operands):
     """:func:`alignn`'s first aligned operand, as a tensor over the union."""
     aligned, plan = alignn(list(operands))
@@ -111,8 +89,8 @@ def _aligned(*operands):
 
 # every public engine operation that takes operands, with x in one operand
 # slot and t in the others; the unary ones ignore t
-ROW_CALLS = {
-    "product": lambda x, t: product(x, t),
+OPERAND_CALLS = {
+    "product": product,
     "solve_left": lambda x, t: solve_left(t, x),
     "solve_right": lambda x, t: solve_right(x, t),
     "alignn": _aligned,
@@ -141,12 +119,34 @@ def _outcome(call, *args):
     return out
 
 
+@pytest.mark.parametrize("plain, kind", [
+    ("ab", None),
+    (np.array([[1, "x"]], dtype=object), None),
+    (np.array([[True, False]]), np.bool_),
+    (np.array([[1, 2]]), np.float64),
+    ([1, 2], np.float64),  # 1-D reads as one row
+    (np.array([[1j, 2]], dtype=np.complex64), np.complex128),
+])
+def test_plain_operands_take_tensor_element_kinds(plain, kind):
+    t = vec([1, 2], fresh())
+    if kind is None:
+        for call in OPERAND_CALLS.values():
+            with pytest.raises(ElementKindError):
+                call(plain, t)
+        return
+    as_tensor = Tensor(np.atleast_2d(plain))
+    assert alignn([plain])[0][0].dtype == kind
+    for name, call in OPERAND_CALLS.items():
+        assert _outcome(call, plain, t) == _outcome(call, as_tensor, t), name
+    assert equal_all([plain, as_tensor])
+
+
 # the names of rtensor.__all__ that take no engine operand
 NOT_OPERAND_TAKING = {"IndexHandle", "fresh", "fresh_many", "Tensor", "from_array",
                       "with_indices", "assign", "align2", "errors"}
 
 
-@pytest.mark.parametrize("name", sorted(ROW_CALLS))
+@pytest.mark.parametrize("name", sorted(OPERAND_CALLS))
 @pytest.mark.parametrize("value, error", [
     (None, ElementKindError),
     ("ab", ElementKindError),
@@ -156,8 +156,8 @@ NOT_OPERAND_TAKING = {"IndexHandle", "fresh", "fresh_many", "Tensor", "from_arra
     (2.0, None),
 ])
 def test_every_operand_taking_name_returns_a_value_or_an_engine_error(name, value, error):
-    assert set(ROW_CALLS) == set(rtensor.__all__) - NOT_OPERAND_TAKING
-    call = ROW_CALLS[name]
+    assert set(OPERAND_CALLS) == set(rtensor.__all__) - NOT_OPERAND_TAKING
+    call = OPERAND_CALLS[name]
     if error is not None:
         with pytest.raises(error):
             call(value, value)
