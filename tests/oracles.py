@@ -2,7 +2,9 @@
 
 Everything here is deliberately written as explicit Python loops (or direct
 summation formulas) over small operands, with no lattices, no alignment
-machinery, and no reuse of the code under test.
+machinery, and no reuse of the code under test.  The one exception is
+``rt_model``, the coronagraph model built on the engine's own operations: it
+checks the demo's numpy path and shares none of its code.
 """
 
 from __future__ import annotations
@@ -302,3 +304,54 @@ def azimuthal_profile(image):
 def count_local_minima(profile):
     inner = profile[1:-1]
     return int(np.sum((inner < profile[:-2]) & (inner < profile[2:])))
+
+
+def rt_model(phi, xa, wb, dphi=None):
+    """The coronagraph model built on the engine: ``(E, grad, xt)``, and with
+    ``dphi`` (M x N x P) also the Hessian applied to each page, as the
+    (M*N) x P matrix ``hess_mult`` returns.
+
+    The 2D DFT is two index contractions with ``dft_operator``, the phase
+    factor and every pairing an entrywise product, and the SSE the
+    contraction of the error image with its dual.  The Hessian is the
+    derivative of the gradient ``2/MN * Im(conj(Yt) o Ye)`` term by term, so
+    it holds at every phase, not only an odd-symmetric one.
+    """
+    from rtensor import ewise_binary, ewise_unary, fresh_many, product, with_indices
+    from rtensor.corona import dft_operator
+
+    m, n = xa.shape
+    r, c, k, l = fresh_many(4)  # image rows and columns, frequency rows and columns
+
+    def plane(a, idx):
+        return with_indices(np.ascontiguousarray(a).reshape((1, 1) + a.shape), idx)
+
+    um, un = dft_operator(m), dft_operator(n)
+    fwd = plane(um, [k, ~r]), plane(un, [l, ~c])
+    inv = plane(um.conj() / m, [r, ~k]), plane(un.conj() / n, [c, ~l])
+
+    def transform(ops, t):
+        return product(ops[0], product(ops[1], t))
+
+    def array(t, idx):
+        return t.permute(idx).entries.reshape(m, n)
+
+    def im_conj_times(a, b):
+        """``Im(conj(a) o b)`` as an M x N array."""
+        return array(ewise_binary(".*", ewise_unary("conj", a), b), [k, l]).imag
+
+    yt = ewise_binary(".*", transform(fwd, plane(xa, [r, c])), plane(np.exp(1j * phi), [k, l]))
+    xt = array(transform(inv, yt), [r, c]).real
+    w = wb | (xt < 0)
+    e = ewise_binary(".*", plane(w * xt, [r, c]), plane(w * xt, [~r, ~c])).entries.item()
+    ye = transform(fwd, plane(w * xt, [r, c]))
+    grad = 2.0 / xt.size * im_conj_times(yt, ye)
+    if dphi is None:
+        return e, grad, xt
+    pages = []
+    for step in np.moveaxis(dphi, 2, 0):
+        dyt = ewise_binary(".*", yt, plane(1j * step, [k, l]))
+        dxt = array(transform(inv, dyt), [r, c]).real
+        dye = transform(fwd, plane(w * dxt, [r, c]))
+        pages.append(2.0 / xt.size * (im_conj_times(dyt, ye) + im_conj_times(yt, dye)).ravel())
+    return e, grad, xt, np.stack(pages, axis=1)

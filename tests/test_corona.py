@@ -2,6 +2,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rtensor.corona import (
     SceneConfig,
@@ -22,7 +23,7 @@ from rtensor.errors import DimMismatchError, SpecError
 from rtensor.corona.optimize import _steihaug
 from rtensor.corona.scene import PlanetSpec
 
-from oracles import azimuthal_profile, count_local_minima
+from oracles import azimuthal_profile, count_local_minima, rt_model
 
 
 def small_instance(m=8, n=8, seed=11, phi_seed=6, phi_scale=0.3):
@@ -250,6 +251,37 @@ def test_hess_mult_cached_matches_direct():
     np.testing.assert_allclose(
         hess_mult_cached(state, dphi), desired, rtol=1e-13, atol=1e-13 * np.abs(desired).max()
     )
+
+
+def _agrees(got, want, tol=1e-10):
+    np.testing.assert_allclose(got, want, rtol=0, atol=tol * max(np.abs(want).max(), 1.0))
+
+
+@given(
+    size=st.sampled_from([(5, 5), (7, 7), (11, 13), (4, 6), (9, 4), (3, 8)]),  # odd, prime, non-square
+    symmetric=st.booleans(),
+    density=st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_model_matches_the_engine_oracle_at_any_phase(size, symmetric, density, seed):
+    m, n = size
+    rng = np.random.default_rng(seed)
+    xa = rng.standard_normal((m, n))
+    wb = rng.random((m, n)) < density
+    phi = make_aberration(m, n, seed) if symmetric else rng.uniform(-np.pi, np.pi, (m, n))
+    dphi = rng.standard_normal((m, n, 2))
+    e, grad, xt, hess = rt_model(phi, xa, wb, dphi)
+    assume(np.abs(xt).min() > 1e-8)  # no pixel sits on the switch of the deviant mask
+    got_e, got_grad, got_xt = sse(phi, xa, wb, want_gradient=True)
+    _agrees(got_e, e)
+    _agrees(got_grad, grad)
+    _agrees(got_xt, xt)
+    assert sse(phi, xa, wb)[0] == got_e
+    state = state_at(phi, xa, wb)
+    _agrees(hess_mult_cached(state, dphi), hess)
+    if symmetric:  # the xt-only form needs fft2(xt) == yt, true only for an odd-symmetric phase
+        _agrees(hess_mult(state.xt, dphi, wb), hess)
 
 
 # -- optimizer ----------------------------------------------------------------------
