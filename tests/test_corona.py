@@ -280,8 +280,36 @@ def test_model_matches_the_engine_oracle_at_any_phase(size, symmetric, density, 
     assert sse(phi, xa, wb)[0] == got_e
     state = state_at(phi, xa, wb)
     _agrees(hess_mult_cached(state, dphi), hess)
+    moved = state_at(np.zeros((m, n)), xa, wb).at(phi)
+    _agrees(moved.e, e)
+    _agrees(moved.grad, grad)
+    _agrees(hess_mult_cached(moved, dphi), hess)
     if symmetric:  # the xt-only form needs fft2(xt) == yt, true only for an odd-symmetric phase
         _agrees(hess_mult(state.xt, dphi, wb), hess)
+
+
+@pytest.mark.parametrize("phase", ["odd-symmetric", "uniform"])
+def test_state_at_another_phase_equals_a_fresh_evaluation(phase):
+    xa, wb, phi = small_instance()
+    if phase == "uniform":
+        phi = np.random.default_rng(4).uniform(-np.pi, np.pi, phi.shape)
+    got = state_at(np.zeros_like(phi), xa, wb).at(phi)
+    want = state_at(phi, xa, wb)
+    assert got.e == want.e
+    for name in ("grad", "xt", "curvature"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+def test_state_at_another_phase_checks_it():
+    xa, wb, phi = small_instance()
+    state = state_at(phi, xa, wb)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(SpecError):
+            state.at(np.full(phi.shape, bad))
+    with pytest.raises(DimMismatchError):
+        state.at(phi.astype(complex))
+    with pytest.raises(DimMismatchError):
+        state.at(phi[:, :7])
 
 
 # -- optimizer ----------------------------------------------------------------------
@@ -301,6 +329,30 @@ def test_optimize_reduces_sse_on_small_instance():
     traj = report.sse_trajectory
     assert traj[-1] < 0.05 * traj[0]
     assert all(traj[k + 1] <= traj[k] for k in range(len(traj) - 1))
+
+
+def test_solve_transforms_the_image_once(monkeypatch):
+    model_module = sys.modules[state_at.__module__]
+    calls = {"fft2": 0, "ifft2": 0}
+
+    def counted(name):
+        transform = getattr(model_module, name)
+
+        def count(x):
+            calls[name] += 1
+            return transform(x)
+
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(model_module, name, counted(name))
+    inst = make_instance(SceneConfig(size=32, seed=9))
+    report = optimize(inst.aberrated, inst.mask, TrustRegionOptions(max_iter=15))
+    evaluations = 1 + report.iterations  # the start and one trial per iteration
+    products = sum(report.cg_iterations)  # one Hessian-vector product per CG iteration
+    assert report.iterations == 15 and products > 0
+    assert calls["fft2"] == 1 + evaluations + products
+    assert calls["ifft2"] == evaluations + products
 
 
 def test_optimize_shrinks_radius_on_nan_ratio(monkeypatch):

@@ -385,6 +385,22 @@ def test_cli_eval_cat_along_an_index_dimension_of_unequal_sizes(capsys):
     assert rec["dims"] == [1, 1, 5]
 
 
+@pytest.mark.parametrize("argv", [
+    ["-isequal(1,1)"],
+    ["-isequal(1,1)", "--seed", "2", "--define", "a=ones(1)"],
+    ["--seed", "2", "--define", "a=ones(1)", "-isequal(1,1)"],
+    ["--seed", "2", "-isequal(1,1)", "--define", "a=ones(1)"],
+])
+def test_cli_eval_takes_a_statement_that_starts_with_a_minus(capsys, argv):
+    assert rt_main(["eval", *argv]) == 0
+    assert capsys.readouterr().out == "degree 0, 1x1, real64: [-1]\n"
+
+
+def test_cli_eval_json_before_a_statement_that_starts_with_a_minus(capsys):
+    assert rt_main(["eval", "--json", "-isequal(1,1)"]) == 0
+    assert json.loads(capsys.readouterr().out)["dims"] == [1, 1]
+
+
 @pytest.mark.parametrize("text, dims", [
     ("G(k) * E(k)", [1, 1, 0]),
     ("G(k) .* E(k)", [1, 1, 0]),
