@@ -1,11 +1,16 @@
 """Image-plane error model: SSE, analytic gradient, and Hessian-multiply.
 
-The corrected image is the inverse 2D DFT of the aberrated image's DFT after
-an entrywise phase offset.  Deviant pixels are background nonzeros plus
-negative foreground values; the SSE is the inner product of that error image
-with itself.  The gradient is (2/MN) * imag(conj(Yt) o Ye), and the
-Hessian-multiply builds one pair of DFT increments per phase-step page, so
-both derivatives cost the same order as the SSE itself.
+The corrected image is the inverse 2D DFT of the aberrated image's DFT (its
+spectrum) after an entrywise phase offset.  Deviant pixels are background
+nonzeros plus negative foreground values; the SSE is the inner product of
+that error image with itself.  With Ye the DFT of the error image, the
+gradient is (2/MN) * Im(conj(Yt) o Ye), and the Hessian applied to a phase
+step D is (2/MN) * (Im(conj(Yt) o dYe) - Re(conj(Yt) o Ye) o D), where dYe
+is the DFT of the masked image increment, one pair of transforms per page.
+An ``AberrationState`` keeps the spectrum and the curvature term
+Re(conj(Yt) o Ye), so moving to another phase over the same image
+(``state.at``) transforms only the corrected and error images, and each
+Hessian-multiply only its own increments.
 """
 
 from __future__ import annotations
@@ -51,31 +56,61 @@ def _deviant(xt, wb):
 
 @dataclass
 class AberrationState:
-    """The model evaluated at a fixed phase matrix, with the 2D DFTs that
-    repeated Hessian applies reuse.  ``ye`` and ``grad`` are None when the
-    gradient was not requested."""
+    """The model evaluated at a fixed phase matrix, with what repeated
+    evaluations and Hessian applies over the same image reuse: the checked
+    mask ``wb``, the image's ``spectrum`` (its 2D DFT), the phase-shifted
+    spectrum ``yt``, the deviant mask ``w`` and the real M x N ``curvature``
+    Re(conj(yt) o ye), where ye is the error image's DFT.  ``curvature`` and
+    ``grad`` are None when the gradient was not requested.
+
+    ``at(phi)`` evaluates the model at another phase over the same image and
+    mask, without transforming the image again.
+    """
 
     phi: np.ndarray
     xt: np.ndarray
     yt: np.ndarray
     w: np.ndarray
-    ye: np.ndarray | None
+    curvature: np.ndarray | None
     e: float
     grad: np.ndarray | None
+    spectrum: np.ndarray
+    wb: np.ndarray
+
+    def at(self, phi) -> "AberrationState":
+        """The model and its gradient at ``phi``, checked as ``state_at`` checks it."""
+        phi, wb = _planes(self.wb, phase=phi)
+        return _evaluate(phi, self.spectrum, wb, True)
 
 
-def _evaluate(phi, xa, wb, want_gradient) -> AberrationState:
-    phi, xa, wb = _planes(wb, phase=phi, image=xa)
-    yt = fft2(xa) * np.exp(1j * phi)
-    xt = np.real(ifft2(yt))
+def _phase_factor(phi):
+    """exp(i*phi), with cos and sin written into the parts of one array."""
+    out = np.empty(phi.shape, np.complex128)
+    np.cos(phi, out=out.real)
+    np.sin(phi, out=out.imag)
+    return out
+
+
+def _evaluate(phi, spectrum, wb, want_gradient) -> AberrationState:
+    """The one model evaluation, on checked planes and the image's spectrum."""
+    yt = _phase_factor(phi)
+    yt *= spectrum
+    xt = ifft2(yt).real.copy()
     w = _deviant(xt, wb)
     xe = w * xt
-    ye = grad = None
+    curvature = grad = None
     if want_gradient:
-        ye = fft2(xe)
-        grad = 2.0 / xt.size * np.imag(np.conj(yt) * ye)
+        grad, curvature = _derivatives(yt, fft2(xe), xt.size)
     e = float(xe.ravel() @ xe.ravel())
-    return AberrationState(phi=phi, xt=xt, yt=yt, w=w, ye=ye, e=e, grad=grad)
+    return AberrationState(phi=phi, xt=xt, yt=yt, w=w, curvature=curvature, e=e, grad=grad,
+                           spectrum=spectrum, wb=wb)
+
+
+def _derivatives(yt, ye, mn):
+    """The gradient (2/MN) * Im(conj(yt) o ye) and the curvature Re(conj(yt) o ye)."""
+    c = np.conj(yt)
+    c *= ye
+    return 2.0 / mn * c.imag, c.real.copy()
 
 
 def sse(phi, xa, wb, want_gradient=False):
@@ -84,14 +119,17 @@ def sse(phi, xa, wb, want_gradient=False):
     Returns ``(E, grad, xt)``; ``grad`` is None unless requested, and then the
     gradient's DFT is never taken.
     """
-    state = _evaluate(phi, xa, wb, want_gradient)
+    phi, xa, wb = _planes(wb, phase=phi, image=xa)
+    state = _evaluate(phi, fft2(xa), wb, want_gradient)
     return state.e, state.grad, state.xt
 
 
 def state_at(phi, xa, wb) -> AberrationState:
-    """Evaluate the model and its gradient once at ``phi``, keeping the 2D
-    DFTs for reuse by ``hess_mult_cached``."""
-    return _evaluate(phi, xa, wb, True)
+    """Evaluate the model and its gradient once at ``phi``, keeping the
+    image's spectrum for ``state.at`` and the transforms and curvature term
+    for ``hess_mult_cached``."""
+    phi, xa, wb = _planes(wb, phase=phi, image=xa)
+    return _evaluate(phi, fft2(xa), wb, True)
 
 
 def hess_mult(xt, dphi, wb):
@@ -99,29 +137,38 @@ def hess_mult(xt, dphi, wb):
 
     ``dphi`` is M x N x P (a single M x N page is accepted); the result is the
     (M*N) x P matrix whose column k is the Hessian at the phase implied by
-    ``xt`` times the vectorized page k (row-major vectorization).
+    ``xt`` times the vectorized page k (row-major vectorization).  Taking the
+    phase-shifted spectrum as ``fft2(xt)`` is exact only for an odd-symmetric
+    phase, whose corrected image is real; at any other phase use
+    ``hess_mult_cached`` on a state.
     """
     xt, wb = _planes(wb, image=xt)
     w = _deviant(xt, wb)
-    return _hess_mult(fft2(xt), fft2(w * xt), w, dphi)
+    yt = fft2(xt)
+    _, curvature = _derivatives(yt, fft2(w * xt), xt.size)
+    return _hess_mult(yt, w, curvature, dphi)
 
 
 def hess_mult_cached(state: AberrationState, dphi):
-    """Hessian-multiply reusing the DFTs cached in ``state`` (from ``state_at``)."""
-    return _hess_mult(state.yt, state.ye, state.w, dphi)
+    """Hessian-multiply reusing the transforms and curvature kept in ``state``
+    (from ``state_at`` or ``state.at``)."""
+    return _hess_mult(state.yt, state.w, state.curvature, dphi)
 
 
-def _hess_mult(yt, ye, w, dphi):
+def _hess_mult(yt, w, curvature, dphi):
+    """(2/MN) * (Im(conj(yt) o fft2(w o Re(ifft2(i yt o D)))) - curvature o D) per page D.
+
+    Re(ifft2(i z)) = -Im(ifft2(z)), so the transforms take yt o D as it is
+    and the sign moves into the final scale.
+    """
     dphi = _real("steps", dphi)
     if dphi.ndim == 2:
         dphi = dphi[:, :, None]
     if dphi.ndim != 3 or dphi.shape[:2] != w.shape:
         raise DimMismatchError(f"shapes disagree: image {w.shape}, steps {dphi.shape}")
     mn = w.size
-    dyt = 1j * (yt[:, :, None] * dphi)
-    dxt = np.real(ifft2(dyt))
-    dye = fft2(w[:, :, None] * dxt)
-    f = 2.0 / mn * (
-        np.imag(np.conj(dyt) * ye[:, :, None]) + np.imag(np.conj(yt)[:, :, None] * dye)
-    )
+    g = fft2(w[:, :, None] * ifft2(yt[:, :, None] * dphi).imag)
+    f = curvature[:, :, None] * dphi
+    f += np.imag(np.conj(yt)[:, :, None] * g)
+    f *= -2.0 / mn
     return f.reshape(mn, dphi.shape[2])

@@ -138,7 +138,7 @@ def optimize(xa, wb, options: TrustRegionOptions | None = None) -> OptReport:
             stop = "no_step"
             break
         pred = -(float(g.ravel() @ step.ravel()) + 0.5 * float(step.ravel() @ hs.ravel()))
-        trial = state_at(phi + step, xa, wb)
+        trial = state.at(phi + step)
         actual = state.e - trial.e
         rho = actual / pred if pred > 0 else -np.inf
 

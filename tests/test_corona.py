@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rtensor.corona import (
+    AberrationState,
     SceneConfig,
     TrustRegionOptions,
     fft2,
@@ -357,19 +358,14 @@ def test_solve_transforms_the_image_once(monkeypatch):
 
 def test_optimize_shrinks_radius_on_nan_ratio(monkeypatch):
     inst = make_instance(SceneConfig(size=32, seed=9))
-    # The package re-exports optimize() under the module's name, so look the module up.
-    optimize_module = sys.modules[_steihaug.__module__]
-    real_state_at = optimize_module.state_at
-    calls = []
+    real_at = AberrationState.at
 
-    def nan_trials(phi, xa, wb):
-        state = real_state_at(phi, xa, wb)
-        if calls:
-            state.e = float("nan")  # every trial point evaluates to NaN
-        calls.append(1)
-        return state
+    def nan_trials(state, phi):
+        trial = real_at(state, phi)
+        trial.e = float("nan")  # every trial point evaluates to NaN
+        return trial
 
-    monkeypatch.setattr(optimize_module, "state_at", nan_trials)
+    monkeypatch.setattr(AberrationState, "at", nan_trials)
     report = optimize(inst.aberrated, inst.mask, TrustRegionOptions(max_iter=200))
     assert report.stop_reason == "radius_collapse"
     assert report.iterations < 40
