@@ -52,8 +52,19 @@ def _cmd_run(args) -> int:
     return 0 if report.ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads an argument that starts with one minus as a positional unless it
+    is exactly one of the parser's options, so ``rt eval "-isequal(1,1)"``
+    takes the statement; ``--`` options parse as argparse parses them."""
+
+    def _parse_optional(self, arg_string):
+        if arg_string[:1] == "-" and arg_string[:2] != "--" and arg_string not in self._option_string_actions:
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="rt", description=__doc__)
+    parser = _Parser(prog="rt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate one expression")
