@@ -3,14 +3,13 @@
 The corrected image is the inverse 2D DFT of the aberrated image's DFT (its
 spectrum) after an entrywise phase offset.  Deviant pixels are background
 nonzeros plus negative foreground values; the SSE is the inner product of
-that error image with itself.  With Ye the DFT of the error image, the
-gradient is (2/MN) * Im(conj(Yt) o Ye), and the Hessian applied to a phase
-step D is (2/MN) * (Im(conj(Yt) o dYe) - Re(conj(Yt) o Ye) o D), where dYe
-is the DFT of the masked image increment, one pair of transforms per page.
-An ``AberrationState`` keeps the spectrum and the curvature term
-Re(conj(Yt) o Ye), so moving to another phase over the same image
-(``state.at``) transforms only the corrected and error images, and each
-Hessian-multiply only its own increments.
+that error image with itself.  With Ye the error image's DFT, the gradient
+is (2/MN) * Im(conj(Yt) o Ye), and the Hessian applied to a phase step D is
+(2/MN) * (Im(conj(Yt) o dYe) - Re(conj(Yt) o Ye) o D), with one pair of DFT
+increments per page.  An ``AberrationState`` keeps the spectrum and the
+curvature term Re(conj(Yt) o Ye), so ``state.at`` moves to another phase
+without transforming the image again, and a Hessian-multiply transforms
+only its increments.
 """
 
 from __future__ import annotations
@@ -83,17 +82,11 @@ class AberrationState:
         return _evaluate(phi, self.spectrum, wb, True)
 
 
-def _phase_factor(phi):
-    """exp(i*phi), with cos and sin written into the parts of one array."""
-    out = np.empty(phi.shape, np.complex128)
-    np.cos(phi, out=out.real)
-    np.sin(phi, out=out.imag)
-    return out
-
-
 def _evaluate(phi, spectrum, wb, want_gradient) -> AberrationState:
     """The one model evaluation, on checked planes and the image's spectrum."""
-    yt = _phase_factor(phi)
+    yt = np.empty(phi.shape, np.complex128)  # exp(i*phi), without the complex exponential
+    np.cos(phi, out=yt.real)
+    np.sin(phi, out=yt.imag)
     yt *= spectrum
     xt = ifft2(yt).real.copy()
     w = _deviant(xt, wb)
@@ -146,16 +139,16 @@ def hess_mult(xt, dphi, wb):
     w = _deviant(xt, wb)
     yt = fft2(xt)
     _, curvature = _derivatives(yt, fft2(w * xt), xt.size)
-    return _hess_mult(yt, w, curvature, dphi)
+    return _hess_kernel(yt, w, curvature, dphi)
 
 
 def hess_mult_cached(state: AberrationState, dphi):
     """Hessian-multiply reusing the transforms and curvature kept in ``state``
     (from ``state_at`` or ``state.at``)."""
-    return _hess_mult(state.yt, state.w, state.curvature, dphi)
+    return _hess_kernel(state.yt, state.w, state.curvature, dphi)
 
 
-def _hess_mult(yt, w, curvature, dphi):
+def _hess_kernel(yt, w, curvature, dphi):
     """(2/MN) * (Im(conj(yt) o fft2(w o Re(ifft2(i yt o D)))) - curvature o D) per page D.
 
     Re(ifft2(i z)) = -Im(ifft2(z)), so the transforms take yt o D as it is
