@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import BoundsError
 from .fourier import fft2, ifft2
 from .model import hess_mult, sse
-from .scene import make_aberration, make_ground_truth, make_source
+from .scene import _R_IN_FRAC, _R_OUT_FRAC, make_aberration, make_ground_truth, make_source
 
 __all__ = ["BenchRow", "benchmark", "write_bench_csv"]
 
@@ -54,16 +55,18 @@ def _peak_bytes(fn):
         tracemalloc.stop()
 
 
-def benchmark(sizes, reps=3, seed=0) -> list[BenchRow]:
+def benchmark(sizes, reps=3) -> list[BenchRow]:
     """Measure sse, sse+gradient, and hess_mult(P=2) at each (M, N) format."""
+    if reps < 1:
+        raise BoundsError(f"reps must be at least 1, got {reps}")
     rows = []
     for m, n in sizes:
         source = make_source(m, n)
-        gt, wb = make_ground_truth(source, 0.08 * min(m, n), 0.375 * min(m, n))
-        phi_true = make_aberration(m, n, seed)
+        gt, wb = make_ground_truth(source, _R_IN_FRAC * min(m, n), _R_OUT_FRAC * min(m, n))
+        phi_true = make_aberration(m, n)
         xa = np.real(ifft2(fft2(gt) * np.exp(1j * phi_true)))
         phi = np.zeros((m, n))
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         dphi = rng.uniform(-0.1, 0.1, (m, n, 2))
         _, _, xt = sse(phi, xa, wb)
 

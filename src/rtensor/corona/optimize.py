@@ -21,22 +21,22 @@ from .model import hess_mult_cached, state_at
 __all__ = ["TrustRegionOptions", "OptReport", "optimize"]
 
 
+_CG_MAX_ITER = 250
+_CG_FORCING = 0.5  # inner tolerance is min(_CG_FORCING, sqrt|g|) * |g|
+_INITIAL_RADIUS = 1.0
+_EXPAND = 2.0
+_SHRINK = 0.25
+_RHO_EXPAND = 0.75
+_RHO_SHRINK = 0.25
+_RHO_ACCEPT = 1e-4
+_RADIUS_COLLAPSE = 1e-13
+
+
 @dataclass(frozen=True)
 class TrustRegionOptions:
     max_iter: int = 200
     grad_tol: float = 1e-8
-    cg_max_iter: int = 250
-    cg_forcing: float = 0.5
-    cg_tol: float | None = None  # fixed inner tolerance; None uses the forcing rule
-    initial_radius: float = 1.0
-    expand: float = 2.0
-    shrink: float = 0.25
-    rho_expand: float = 0.75
-    rho_shrink: float = 0.25
-    rho_accept: float = 1e-4
-    radius_collapse: float = 1e-13
     sse_floor: float = 1e-22
-    seed: int = 0
     verbose: bool = False
 
 
@@ -105,9 +105,8 @@ def optimize(xa, wb, options: TrustRegionOptions | None = None) -> OptReport:
     """Minimize the SSE over the phase matrix, starting from zeros."""
     opts = options or TrustRegionOptions()
     xa = np.asarray(xa)  # state_at checks and casts it
-    phi = np.zeros(xa.shape)
-    state = state_at(phi, xa, wb)
-    radius = opts.initial_radius
+    state = state_at(np.zeros(xa.shape), xa, wb)
+    radius = _INITIAL_RADIUS
     trajectory = [state.e]
     grad_norms = [float(np.abs(state.grad).max())]
     wall = [0.0]
@@ -131,24 +130,23 @@ def optimize(xa, wb, options: TrustRegionOptions | None = None) -> OptReport:
             break
         g = state.grad
         gn2 = float(np.linalg.norm(g))
-        tol = opts.cg_tol if opts.cg_tol is not None else min(opts.cg_forcing, np.sqrt(gn2)) * gn2
-        step, hs, boundary, k = _steihaug(g, hv, radius, tol, opts.cg_max_iter)
+        tol = min(_CG_FORCING, np.sqrt(gn2)) * gn2
+        step, hs, boundary, k = _steihaug(g, hv, radius, tol, _CG_MAX_ITER)
         cg_iters.append(k)
         if not np.any(step):
             stop = "no_step"
             break
         pred = -(float(g.ravel() @ step.ravel()) + 0.5 * float(step.ravel() @ hs.ravel()))
-        trial = state.at(phi + step)
+        trial = state.at(state.phi + step)
         actual = state.e - trial.e
         rho = actual / pred if pred > 0 else -np.inf
 
-        if not np.isfinite(rho) or rho < opts.rho_shrink:
-            radius *= opts.shrink
-        elif rho > opts.rho_expand and boundary:
-            radius *= opts.expand
-        accepted = rho > opts.rho_accept and trial.e < state.e
+        if not np.isfinite(rho) or rho < _RHO_SHRINK:
+            radius *= _SHRINK
+        elif rho > _RHO_EXPAND and boundary:
+            radius *= _EXPAND
+        accepted = rho > _RHO_ACCEPT and trial.e < state.e
         if accepted:
-            phi = phi + step
             state = trial
             trajectory.append(state.e)
             grad_norms.append(float(np.abs(state.grad).max()))
@@ -160,7 +158,7 @@ def optimize(xa, wb, options: TrustRegionOptions | None = None) -> OptReport:
                 f"iter {it:3d}  sse {state.e:.6e}  |g| {grad_norms[-1]:.3e}  "
                 f"radius {radius:.2e}  cg {k:3d}  {'acc' if accepted else 'rej'}"
             )
-        if radius < opts.radius_collapse:
+        if radius < _RADIUS_COLLAPSE:
             stop = "radius_collapse"
             break
 
@@ -169,7 +167,7 @@ def optimize(xa, wb, options: TrustRegionOptions | None = None) -> OptReport:
         sse_trajectory=trajectory,
         grad_norms=grad_norms,
         wall_times=wall,
-        phi=phi,
+        phi=state.phi,
         corrected=state.xt,
         stop_reason=stop,
         cg_iterations=cg_iters,

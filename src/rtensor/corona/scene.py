@@ -10,7 +10,7 @@ symmetry that keeps inverse transforms of real images real.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +28,15 @@ __all__ = [
 ]
 
 
+# Scene geometry, as fractions of the image size.
+_APERTURE_FRAC = 0.04
+_R_IN_FRAC = 0.08
+_R_OUT_FRAC = 0.375
+_PLANET_RADIUS_FRAC = 0.018
+_PLANET_OFFSET_FRAC = 0.22
+_PLANET_AMPLITUDE = 0.5
+
+
 @dataclass(frozen=True)
 class PlanetSpec:
     """A filled disc added to the annular foreground; offsets from center."""
@@ -35,28 +44,22 @@ class PlanetSpec:
     drow: float
     dcol: float
     radius: float
-    amplitude: float = 0.5
 
 
 @dataclass(frozen=True)
 class SceneConfig:
     size: int = 401
     seed: int = 0
-    aperture_frac: float = 0.04
-    r_in_frac: float = 0.08
-    r_out_frac: float = 0.375
-    planet_radius_frac: float = 0.018
-    planet_offset_frac: float = 0.22
-    planet_amplitude: float = 0.5
 
-    def planets(self) -> tuple[PlanetSpec, PlanetSpec]:
-        r = self.planet_offset_frac * self.size
-        pr = max(1.5, self.planet_radius_frac * self.size)
-        a = np.deg2rad(30.0)
-        return (
-            PlanetSpec(r * np.sin(a), r * np.cos(a), pr, self.planet_amplitude),
-            PlanetSpec(-r * np.sin(a), -r * np.cos(a), pr, self.planet_amplitude),
-        )
+
+def _planets(size: int) -> tuple[PlanetSpec, PlanetSpec]:
+    r = _PLANET_OFFSET_FRAC * size
+    pr = max(1.5, _PLANET_RADIUS_FRAC * size)
+    a = np.deg2rad(30.0)
+    return (
+        PlanetSpec(r * np.sin(a), r * np.cos(a), pr),
+        PlanetSpec(-r * np.sin(a), -r * np.cos(a), pr),
+    )
 
 
 def _radius_grid(m: int, n: int) -> np.ndarray:
@@ -66,12 +69,12 @@ def _radius_grid(m: int, n: int) -> np.ndarray:
     return np.hypot(yy, xx)
 
 
-def make_source(m: int, n: int, aperture_frac: float = 0.04) -> np.ndarray:
+def make_source(m: int, n: int) -> np.ndarray:
     """Diffraction-ringed source image in [0, 1], peak 1.0 at the center."""
     if m < 16 or n < 16:
         raise SpecError("source needs at least a 16x16 format")
     r = _radius_grid(m, n)
-    aperture = (r <= aperture_frac * min(m, n)).astype(np.float64)
+    aperture = (r <= _APERTURE_FRAC * min(m, n)).astype(np.float64)
     psf = np.abs(fft2(np.fft.ifftshift(aperture))) ** 2
     psf = np.fft.fftshift(psf)
     return psf / psf.max()
@@ -98,7 +101,7 @@ def make_ground_truth(source, r_in, r_out, planets=()):
         disc = np.hypot(yy, xx) <= p.radius
         if np.any(disc & wb) or not np.any(disc):
             raise SpecError(f"planet at ({p.drow}, {p.dcol}) leaves the annulus")
-        gt[disc] += p.amplitude
+        gt[disc] += _PLANET_AMPLITUDE
     return gt, wb
 
 
@@ -131,18 +134,14 @@ class Instance:
     mask: np.ndarray
     phi_true: np.ndarray
     aberrated: np.ndarray
-    config: SceneConfig = field(default_factory=SceneConfig)
 
 
 def make_instance(config: SceneConfig) -> Instance:
     m = n = config.size
-    source = make_source(m, n, config.aperture_frac)
+    source = make_source(m, n)
     gt, wb = make_ground_truth(
-        source,
-        config.r_in_frac * config.size,
-        config.r_out_frac * config.size,
-        config.planets(),
+        source, _R_IN_FRAC * config.size, _R_OUT_FRAC * config.size, _planets(config.size)
     )
     phi = make_aberration(m, n, config.seed)
     aberrated = np.real(ifft2(fft2(gt) * np.exp(1j * phi)))
-    return Instance(source, gt, wb, phi, aberrated, config)
+    return Instance(source, gt, wb, phi, aberrated)

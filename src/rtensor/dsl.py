@@ -32,7 +32,7 @@ import numpy as np
 
 from . import ewise, lattice, pagewise
 from .errors import (
-    BoundsError, EngineError, ExprSyntaxError, SubscriptKindError, UnknownNameError,
+    BoundsError, DataFileError, EngineError, ExprSyntaxError, SubscriptKindError, UnknownNameError,
 )
 from .indices import IndexHandle, fresh
 from .tensor import Tensor, _operand, assign, from_array
@@ -593,8 +593,13 @@ def run_script(path, env: Environment | None = None, emit=print, json_records=Fa
 
     env = env or Environment()
     report = ScriptReport(path=str(path))
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.readlines()
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = f.readlines()
+    except OSError as exc:
+        raise DataFileError(f"cannot read: {exc.strerror}", path) from exc
+    except UnicodeDecodeError as exc:
+        raise DataFileError(f"not UTF-8 text: {exc.reason} at byte {exc.start}", path) from exc
     for lineno, raw in enumerate(lines, start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:

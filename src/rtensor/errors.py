@@ -51,8 +51,8 @@ class SpecError(EngineError):
 
 
 class DataFileError(EngineError):
-    """A file the demo reads is missing, truncated or malformed, or one it
-    writes cannot be written; carries the path."""
+    """A file the package reads is missing, unreadable, truncated or
+    malformed, or one it writes cannot be written; carries the path."""
 
     def __init__(self, message, path):
         super().__init__(f"{path}: {message}")
@@ -60,7 +60,8 @@ class DataFileError(EngineError):
 
 
 class UnknownNameError(EngineError):
-    """An expression referenced a name that is not bound in the environment."""
+    """An expression referenced a name that is not bound in the environment,
+    or an operator or function name the engine does not know."""
 
 
 class ExprSyntaxError(EngineError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundsError, DimMismatchError, ElementKindError
+from .errors import BoundsError, DimMismatchError, ElementKindError, UnknownNameError
 from .indices import IndexHandle
 from .tensor import Tensor, _arithmetic, _check_degree, _ieee, _operand
 
@@ -117,7 +117,7 @@ def ewise_binary(op: str, a, b) -> Tensor:
         out = _LOGICAL[op](xa != 0 if xa.dtype != np.bool_ else xa,
                            xb != 0 if xb.dtype != np.bool_ else xb)
     else:
-        raise ValueError(f"unknown entrywise operator {op!r}")
+        raise UnknownNameError(f"unknown entrywise operator {op!r}")
     result = Tensor._wrap(out, plan.union_indices)
     if plan.contract_ids:
         result = result.sum(plan.contract_ids)
@@ -181,7 +181,7 @@ def ewise_unary(fn: str, t, p=None) -> Tensor:
         with _ieee():
             out = _UNARY[fn](arr)
     else:
-        raise ValueError(f"unknown entrywise function {fn!r}")
+        raise UnknownNameError(f"unknown entrywise function {fn!r}")
     return Tensor._wrap(out, t.indices)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimMismatchError, IndexArityError, UnknownIndexError
+from .errors import DimMismatchError, IndexArityError, SubscriptKindError, UnknownIndexError
 from .ewise import _align
 from .indices import IndexHandle
 from .tensor import Tensor, _arithmetic, _ieee, _operand
@@ -73,7 +73,7 @@ def _resolve_axis(axis) -> int:
                 f"concatenation axis {axis + 1} lies before the first dimension"
             )
         return int(axis)
-    raise ValueError(f"invalid concatenation axis {axis!r}")
+    raise SubscriptKindError(f"invalid concatenation axis {axis!r}")
 
 
 def concat(where, operands) -> Tensor:

@@ -170,6 +170,14 @@ def test_bench_to_a_missing_directory_is_reported_with_its_path(tmp_path, capsys
     assert f"error: {out}: cannot write" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("reps", ["0", "-2"])
+def test_bench_with_no_repetitions_is_reported_before_writing(tmp_path, capsys, reps):
+    out = tmp_path / "b.csv"
+    assert corona_main(["bench", "--sizes", "16", "--reps", reps, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: reps must be at least 1")
+    assert not out.exists()
+
+
 def test_solve_reports_a_malformed_csv_with_its_path(tmp_path, capsys):
     scene = tmp_path / "scene"
     assert corona_main(["synth", "--size", "32", "--out", str(scene)]) == 0

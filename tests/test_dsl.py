@@ -414,6 +414,17 @@ def test_cli_eval_on_a_size_zero_dimension(capsys, text, dims):
     assert json.loads(capsys.readouterr().out)["dims"] == dims
 
 
+@pytest.mark.parametrize("case", ["missing", "directory", "not utf-8"])
+def test_cli_run_on_a_script_it_cannot_read_is_reported(tmp_path, capsys, case):
+    path = tmp_path / "script.rts"
+    if case == "directory":
+        path.mkdir()
+    elif case == "not utf-8":
+        path.write_bytes(b"x = 1\n\xff\xfe\n")
+    assert rt_main(["run", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
 @pytest.mark.parametrize("precision", ["1e300", "log(0) - log(0)", "log(0)", "2.5", "zeros(1,0)"])
 def test_round_precision_that_is_not_an_integer_is_reported(capsys, precision):
     assert rt_main(["eval", f"round(ones(2), {precision})"]) == 1

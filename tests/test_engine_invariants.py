@@ -28,6 +28,7 @@ from rtensor import (
     vertcat,
     with_indices,
 )
+from rtensor.errors import SubscriptKindError, UnknownNameError
 
 KINDS = ("bool", "real", "complex")
 
@@ -177,3 +178,13 @@ def test_results_keep_the_layout_invariant(name, seed, kinds):
     if name in ("unary step", "ewise <") and "complex" in kinds:
         kinds = ["real" if k == "complex" else k for k in kinds]
     _holds(op(_Case(seed, kinds)))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: ewise_binary("foo", 1, 2), UnknownNameError),
+    (lambda: ewise_unary("foo", 1), UnknownNameError),
+    (lambda: concat("diag", [np.ones(2)]), SubscriptKindError),
+], ids=["ewise_binary", "ewise_unary", "concat"])
+def test_an_unknown_operation_name_raises_a_typed_error(call, error):
+    with pytest.raises(error):
+        call()

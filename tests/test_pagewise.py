@@ -277,3 +277,31 @@ def test_every_public_name_is_used_outside_the_tests():
             if "tests" not in path.relative_to(root).parts:
                 visit(ast.parse(path.read_text()), frozenset())
     assert [name for name in rtensor.__all__ if name not in used] == []
+
+
+def test_every_config_field_is_set_by_a_caller_outside_the_tests():
+    """Each field of the demo's option classes is passed by keyword, in a call
+    to its class, under src/, scripts/ or perfbench/, outside any test; a
+    field no caller sets belongs in a module constant."""
+    import ast
+    import dataclasses
+
+    from rtensor.corona import SceneConfig, TrustRegionOptions
+
+    classes = {cls.__name__: cls for cls in (SceneConfig, TrustRegionOptions)}
+    passed = {name: set() for name in classes}
+    root = Path(__file__).resolve().parents[1]
+    for top in ("src", "scripts", "perfbench"):
+        for path in (root / top).rglob("*.py"):
+            if "tests" in path.relative_to(root).parts:
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in passed:
+                    passed[name].update(kw.arg for kw in node.keywords if kw.arg)
+    unset = [f"{name}.{f.name}" for name, cls in classes.items()
+             for f in dataclasses.fields(cls) if f.name not in passed[name]]
+    assert unset == []
