@@ -408,13 +408,13 @@ class Environment:
         return None
 
 
-def _shape_args(args) -> tuple[int, ...]:
-    dims = []
-    for a in args:
-        if not isinstance(a, Num) or a.value != int(a.value):
-            raise SubscriptKindError("dimension sizes must be integer literals")
-        dims.append(int(a.value))
-    return tuple(dims)
+def _integer(node, what: str) -> int:
+    """The one rule for numeric subscripts, ``cat``'s dimension number and
+    dimension sizes: a numeric literal with an integer value is that integer;
+    anything else, a fractional literal included, raises ``SubscriptKindError``."""
+    if not isinstance(node, (Num, NumSub)) or node.value != int(node.value):
+        raise SubscriptKindError(f"{what} must be an integer literal")
+    return int(node.value)
 
 
 def _handle(sub: IndexSub, env: Environment) -> IndexHandle:
@@ -441,7 +441,8 @@ def evaluate(node, env: Environment):
             return t.reindex([_handle(s, env) for s in node.subs])
         if any(isinstance(s, IndexSub) for s in node.subs):
             raise SubscriptKindError("subscripts mix index names with numbers")
-        subs = [":" if isinstance(s, ColonSub) else int(s.value) for s in node.subs]
+        subs = [":" if isinstance(s, ColonSub) else _integer(s, "a numeric subscript")
+                for s in node.subs]
         return from_array(t.slice(subs))[0]
     if isinstance(node, Unary):
         val = evaluate(node.operand, env)
@@ -490,12 +491,12 @@ def _call(node: Call, env: Environment):
         if isinstance(where, IndexSub):
             return pagewise.concat(_handle(where, env), operands)
         if isinstance(where, NumSub):
-            return pagewise.concat(int(where.value) - 1, operands)
+            return pagewise.concat(_integer(where, "cat's dimension number") - 1, operands)
         raise SubscriptKindError("cat needs an index name or dimension number first")
     if fn == "isequal":
         return ewise.equal_all([evaluate(a, env) for a in node.args])
     if fn in ("ones", "zeros", "rand"):
-        dims = _shape_args(node.args)
+        dims = tuple(_integer(a, "a dimension size") for a in node.args)
         shape = dims if len(dims) > 1 else (dims[0],)
         try:
             if fn == "ones":

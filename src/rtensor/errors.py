@@ -17,9 +17,10 @@ class DimMismatchError(EngineError):
     """Dimension sizes that must agree do not."""
 
 
-class BoundsError(EngineError):
+class BoundsError(EngineError, ValueError):
     """Numeric subscript outside the valid 1-based range, or a numeric
-    argument outside its valid range."""
+    argument outside its valid range; a ``ValueError`` too, like Python's own
+    out-of-range arguments."""
 
 
 class UnknownIndexError(EngineError):

@@ -15,6 +15,8 @@ import itertools
 import threading
 from dataclasses import dataclass
 
+from .errors import BoundsError
+
 __all__ = ["IndexHandle", "fresh", "fresh_many"]
 
 _counter = itertools.count()
@@ -44,6 +46,6 @@ def fresh() -> IndexHandle:
 def fresh_many(n: int) -> list[IndexHandle]:
     """Return ``n`` pairwise-distinct true-variant handles."""
     if n < 0:
-        raise ValueError("count must be nonnegative")
+        raise BoundsError(f"count must be nonnegative, got {n}")
     return [fresh() for _ in range(n)]
 

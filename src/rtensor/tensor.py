@@ -258,25 +258,14 @@ class Tensor:
         outright, after which repeated identities are attracted and, when they
         mix variants, contracted.
         """
-        subs = tuple(subs)
-        kinds = {isinstance(s, IndexHandle) for s in subs}
-        if kinds == {True, False}:
-            raise SubscriptKindError("subscripts mix index handles with numbers")
-        if False in kinds:
-            raise SubscriptKindError("reindex requires index-handle subscripts")
-        need = _trimmed_ndim(self.entries.shape) - 2
-        if len(subs) < need:
-            raise IndexArityError(
-                f"need at least {need} subscripts, got {len(subs)}"
-            )
-        return Tensor._wrap(_fit(self.entries, len(subs)), subs).simplify()
+        return Tensor(self.entries, subs).simplify()
 
     def slice(self, subs: Sequence) -> np.ndarray:
         """Numeric subscripting, 1-based, delegated to the stored array.
 
-        Accepts integers, ``":"`` for a whole dimension, and Python ``slice``
-        objects with 1-based inclusive bounds.  A single integer subscript on
-        a multi-dimension tensor is a linear index in row-major order.
+        Takes 1-based integers and ``":"`` for a whole dimension; any other
+        subscript raises ``SubscriptKindError``.  A single integer subscript
+        on a multi-dimension tensor is a linear index in row-major order.
         """
         if any(isinstance(s, IndexHandle) for s in subs):
             raise SubscriptKindError("slice takes numeric subscripts only")
@@ -298,12 +287,6 @@ class Tensor:
             n = shape[d]
             if _is_colon(s):
                 out.append(np.s_[:])
-            elif isinstance(s, slice):
-                lo = 1 if s.start is None else s.start
-                hi = n if s.stop is None else s.stop
-                if lo < 1 or hi > n:
-                    raise BoundsError(f"range {lo}:{hi} out of bounds for dimension {d + 1}")
-                out.append(np.s_[lo - 1:hi])
             elif isinstance(s, (int, np.integer)):
                 if s < 1 or s > n:
                     raise BoundsError(f"subscript {s} out of range 1..{n} in dimension {d + 1}")
@@ -323,13 +306,13 @@ class Tensor:
         """
         new_idx = tuple(new_idx)
         ids = [h.id for h in new_idx]
+        for h in self.indices:
+            if h.id not in ids:
+                raise UnknownIndexError(f"subscripts do not cover index {h!r}")
         if len(set(ids)) != len(ids):
             raise SubscriptKindError("permutation lists an identity twice")
         _check_degree(len(ids))
         own = {h.id: h for h in self.indices}
-        for h in self.indices:
-            if h.id not in ids:
-                raise UnknownIndexError(f"permute drops index {h!r}")
         arr = self.fold([[0], [1]] + [[h] for h in new_idx])
         return Tensor._wrap(arr, [own.get(h.id, h) for h in new_idx])
 
@@ -393,9 +376,7 @@ def _operand(op) -> Tensor:
 
 
 def _is_colon(s) -> bool:
-    return (isinstance(s, str) and s == ":") or s is Ellipsis or (
-        isinstance(s, slice) and s.start is None and s.stop is None and s.step is None
-    )
+    return isinstance(s, str) and s == ":"
 
 
 # -- construction and assignment ------------------------------------------
@@ -428,78 +409,6 @@ def assign(dst: Tensor | None, subs: Sequence[IndexHandle], src) -> Tensor:
         raise AssignKindError("indexed assignment requires a tensor right-hand side")
     if any(not isinstance(s, IndexHandle) for s in subs):
         raise SubscriptKindError("indexed assignment requires index-handle subscripts")
-    sub_ids = {s.id for s in subs}
-    for own in src.indices:
-        if own.id not in sub_ids:
-            raise UnknownIndexError(f"assignment subscripts do not cover {own!r}")
     permuted = src.permute(subs)
     return Tensor._wrap(permuted.entries, subs)
 
-
-# -- operator sugar ---------------------------------------------------------
-# `*` and `/` follow the framework's product and right-division; entrywise
-# arithmetic uses + - and the ewise module.  Late imports avoid cycles.
-
-
-def _ewise():
-    from . import ewise
-
-    return ewise
-
-
-def _lattice():
-    from . import lattice
-
-    return lattice
-
-
-def _add(self, other):
-    return _ewise().ewise_binary("+", self, other)
-
-
-def _radd(self, other):
-    return _ewise().ewise_binary("+", other, self)
-
-
-def _sub(self, other):
-    return _ewise().ewise_binary("-", self, other)
-
-
-def _mul(self, other):
-    return _lattice().product(self, other)
-
-
-def _rmul(self, other):
-    return _lattice().product(other, self)
-
-
-def _div(self, other):
-    return _lattice().solve_right(self, other)
-
-
-def _neg(self):
-    return _ewise().ewise_unary("neg", self)
-
-
-def _invert(self):
-    return _ewise().ewise_unary("not", self)
-
-
-def _and(self, other):
-    return _ewise().ewise_binary("and", self, other)
-
-
-def _or(self, other):
-    return _ewise().ewise_binary("or", self, other)
-
-
-Tensor.__add__ = _add
-Tensor.__radd__ = _radd
-Tensor.__sub__ = _sub
-Tensor.__mul__ = _mul
-Tensor.__rmul__ = _rmul
-Tensor.__truediv__ = _div
-Tensor.__neg__ = _neg
-Tensor.__invert__ = _invert
-Tensor.__and__ = _and
-Tensor.__or__ = _or

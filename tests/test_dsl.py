@@ -515,3 +515,12 @@ def test_matrix_axes_that_do_not_broadcast_are_reported(tmp_path, capsys, text):
 def test_cat_along_dimension_zero_is_reported(capsys):
     assert rt_main(["eval", "cat(0, ones(2), ones(2))"]) == 1
     assert "error: concatenation axis 0 lies before the first dimension" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["a(1.5)", "a(1,2.9)", "cat(2.5, a, a)", "ones(2.5)"])
+def test_a_fractional_integer_literal_is_rejected(text):
+    env = Environment.with_seed(0)
+    evaluate(parse("a = [1 2; 3 4]")[1], env)
+    with pytest.raises(SubscriptKindError, match="must be an integer literal"):
+        evaluate(parse(text)[1], env)
+    assert evaluate(parse("a(2.0)")[1], env).entries.ravel().tolist() == [2.0]

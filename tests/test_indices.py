@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rtensor import IndexHandle, fresh, fresh_many
+from rtensor.errors import BoundsError
 
 
 def test_fresh_is_true_variant():
@@ -62,3 +63,8 @@ def test_orbit_closed_under_complement():
 def test_freshness_no_duplicates(n):
     ids = [h.id for h in fresh_many(n)]
     assert len(set(ids)) == n
+
+
+def test_a_negative_count_of_fresh_indices_is_a_bounds_error():
+    with pytest.raises(BoundsError, match="count must be nonnegative, got -1"):
+        fresh_many(-1)

@@ -1,5 +1,3 @@
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -235,73 +233,3 @@ def test_concat_before_the_first_dimension():
     for operands in ([vec([1, 2], i), vec([3, 4], i)], [vec([1, 2], i)]):
         with pytest.raises(IndexArityError, match="axis 0 lies before"):
             concat(-1, operands)
-
-
-def test_array_helpers_stay_out_of_the_package_namespace():
-    import inspect
-
-    import rtensor
-
-    for name in ("page_cat", "AlignmentPlan2", "AlignmentPlanN",
-                 "complement", "same_id", "variant", "as_true", "as_false"):
-        assert name not in rtensor.__all__
-        assert not hasattr(rtensor, name) and not hasattr(rtensor.indices, name)
-    assert not hasattr(rtensor.Tensor, "dim_of")
-    assert list(inspect.signature(rtensor.alignn).parameters) == ["operands"]
-
-
-def test_every_public_name_is_used_outside_the_tests():
-    """Each name in ``rtensor.__all__`` is referenced under src/, scripts/ or
-    perfbench/, outside its own definition and outside any test."""
-    import ast
-
-    import rtensor
-
-    used = set()
-
-    def visit(node, defining):
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            defining = defining | {node.name}
-        elif isinstance(node, ast.Name) and node.id not in defining:
-            used.add(node.id)
-        elif isinstance(node, ast.Attribute) and node.attr not in defining:
-            used.add(node.attr)
-        elif isinstance(node, ast.ImportFrom) and node.module:  # `from .errors import`
-            used.update(node.module.split("."))
-        for child in ast.iter_child_nodes(node):
-            visit(child, defining)
-
-    root = Path(__file__).resolve().parents[1]
-    for top in ("src", "scripts", "perfbench"):
-        for path in (root / top).rglob("*.py"):
-            if "tests" not in path.relative_to(root).parts:
-                visit(ast.parse(path.read_text()), frozenset())
-    assert [name for name in rtensor.__all__ if name not in used] == []
-
-
-def test_every_config_field_is_set_by_a_caller_outside_the_tests():
-    """Each field of the demo's option classes is passed by keyword, in a call
-    to its class, under src/, scripts/ or perfbench/, outside any test; a
-    field no caller sets belongs in a module constant."""
-    import ast
-    import dataclasses
-
-    from rtensor.corona import SceneConfig, TrustRegionOptions
-
-    classes = {cls.__name__: cls for cls in (SceneConfig, TrustRegionOptions)}
-    passed = {name: set() for name in classes}
-    root = Path(__file__).resolve().parents[1]
-    for top in ("src", "scripts", "perfbench"):
-        for path in (root / top).rglob("*.py"):
-            if "tests" in path.relative_to(root).parts:
-                continue
-            for node in ast.walk(ast.parse(path.read_text())):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name in passed:
-                    passed[name].update(kw.arg for kw in node.keywords if kw.arg)
-    unset = [f"{name}.{f.name}" for name, cls in classes.items()
-             for f in dataclasses.fields(cls) if f.name not in passed[name]]
-    assert unset == []
