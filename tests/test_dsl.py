@@ -414,6 +414,17 @@ def test_cli_eval_on_a_size_zero_dimension(capsys, text, dims):
     assert json.loads(capsys.readouterr().out)["dims"] == dims
 
 
+@pytest.mark.parametrize("text, n", [
+    ("ones(3)", 3), ("zeros(0)", 0), ("rand(4)", 4), ("a(1,:)", 2), ("a(:,1)", 2), ("b(1,1,:)", 4),
+])
+def test_a_one_dimensional_result_is_degree_one(capsys, text, n):
+    code = rt_main(["eval", text, "--define", "a=[1 2; 3 4]", "--define", "b=rand(2,3,4)", "--json"])
+    assert code == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["dims"] == [1, 1, n]
+    assert len(rec["indices"]) == 1
+
+
 @pytest.mark.parametrize("case", ["missing", "directory", "not utf-8"])
 def test_cli_run_on_a_script_it_cannot_read_is_reported(tmp_path, capsys, case):
     path = tmp_path / "script.rts"
