@@ -430,7 +430,7 @@ _EWISE_NAMES = {"&": "and", "|": "or"}  # every other operator is its own ewise 
 def evaluate(node, env: Environment):
     """Evaluate a parsed expression against an environment."""
     if isinstance(node, Num):
-        return Tensor(np.array([[node.value]]))
+        return _operand(node.value)
     if isinstance(node, TensorRef):
         if node.name not in env.tensors:
             raise UnknownNameError(f"unknown name {node.name!r}")
@@ -443,7 +443,8 @@ def evaluate(node, env: Environment):
             raise SubscriptKindError("subscripts mix index names with numbers")
         subs = [":" if isinstance(s, ColonSub) else _integer(s, "a numeric subscript")
                 for s in node.subs]
-        return from_array(t.slice(subs))[0]
+        part = t.slice(subs)  # one dimension left reads as degree one, as ones(n) does
+        return from_array(part.reshape(1, 1, -1) if part.ndim == 1 else part)[0]
     if isinstance(node, Unary):
         val = evaluate(node.operand, env)
         return val if node.op == "pos" else ewise.ewise_unary(node.op, val)
@@ -497,7 +498,7 @@ def _call(node: Call, env: Environment):
         return ewise.equal_all([evaluate(a, env) for a in node.args])
     if fn in ("ones", "zeros", "rand"):
         dims = tuple(_integer(a, "a dimension size") for a in node.args)
-        shape = dims if len(dims) > 1 else (dims[0],)
+        shape = dims if len(dims) > 1 else (1, 1, dims[0])  # ones(n) is degree one
         try:
             if fn == "ones":
                 arr = np.ones(shape)

@@ -39,29 +39,18 @@ _ELEMENT_KINDS = {"b": np.bool_, "i": np.float64, "u": np.float64, "f": np.float
                   "c": np.complex128}
 
 
-def as_element_kind(values) -> np.ndarray:
-    """``values`` as an array of one of the three element kinds: boolean,
-    float64 or complex128.  Integers widen to float64; any other dtype
-    (timedelta and datetime included) raises ``ElementKindError``."""
+def _entries(values) -> np.ndarray:
+    """The one rule by which a plain value becomes entries: an array of one
+    of the three element kinds, boolean, float64 or complex128, where 0-D is
+    1x1, 1-D is one row and 2-D or more stays as it is.  Integers widen to
+    float64; any other dtype (timedelta and datetime included) raises
+    ``ElementKindError``."""
     arr = np.asarray(values)
     target = _ELEMENT_KINDS.get(arr.dtype.kind)
     if target is None:
         raise ElementKindError(f"unsupported element dtype {arr.dtype}")
-    return arr.astype(target, copy=False)
-
-
-def _as_entries(values) -> np.ndarray:
-    """Coerce input data to one of the three element kinds.
-
-    0-D input becomes 1x1; 1-D input of length n becomes a degree-one payload
-    shaped (1, 1, n), so plain lists read as index-bearing vectors.
-    """
-    arr = as_element_kind(values)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    elif arr.ndim == 1:
-        arr = arr.reshape(1, 1, arr.shape[0])
-    return arr
+    arr = arr.astype(target, copy=False)
+    return arr.reshape((1,) * (2 - arr.ndim) + arr.shape) if arr.ndim < 2 else arr
 
 
 def _arithmetic(dtype) -> np.dtype:
@@ -74,14 +63,6 @@ def _ieee() -> np.errstate:
     """The floating-point policy of every engine kernel: overflow, division by
     zero and invalid operations give inf and NaN silently, never a warning."""
     return np.errstate(divide="ignore", invalid="ignore", over="ignore")
-
-
-def _trimmed_ndim(shape: tuple[int, ...]) -> int:
-    """Number of dimensions once trailing singletons are dropped, at least 2."""
-    nd = len(shape)
-    while nd > 2 and shape[nd - 1] == 1:
-        nd -= 1
-    return max(nd, 2)
 
 
 # numpy arrays hold at most 64 axes, and rows and columns take two of them
@@ -131,7 +112,9 @@ class Tensor:
     identities in the index list are allowed until :meth:`simplify` runs;
     every engine operation simplifies its operands on entry.
 
-    The public constructor checks and coerces its input into that invariant.
+    The public constructor coerces its input by :func:`_entries`, the rule
+    every plain value follows, and checks that each axis past the ones
+    ``indices`` address has size 1.
     Arrays the engine builds itself already hold it, so the engine wraps them
     with the private, trusted :meth:`_wrap`, which skips every check.
     """
@@ -139,16 +122,13 @@ class Tensor:
     __slots__ = ("entries", "indices")
 
     def __init__(self, entries, indices: Sequence[IndexHandle] = ()):
-        arr = _as_entries(entries)
+        arr = _entries(entries)
         idx = tuple(indices)
         if any(not isinstance(h, IndexHandle) for h in idx):
             raise SubscriptKindError("tensor indices must be IndexHandle values")
-        need = _trimmed_ndim(arr.shape) - 2
-        if len(idx) < need:
+        if any(n != 1 for n in arr.shape[2 + len(idx):]):
             raise IndexArityError(
-                f"{len(idx)} indices cannot address an array with "
-                f"{need} nontrivial tensor dimensions"
-            )
+                f"{len(idx)} indices cannot address an array shaped {arr.shape}")
         _seal(self, _fit(arr, len(idx)), idx)
 
     @classmethod
@@ -365,14 +345,13 @@ class Tensor:
 
 def _operand(op) -> Tensor:
     """``op`` as every engine operation takes it: a tensor simplified, and any
-    other value as an index-free tensor of a tensor element kind, where 0-D
-    is 1x1, 1-D is one row and 2-D stays as it is."""
+    other value as the index-free tensor of its :func:`_entries`, at most 2-D."""
     if isinstance(op, Tensor):
         return op.simplify()
-    arr = as_element_kind(op)
+    arr = _entries(op)
     if arr.ndim > 2:
         raise OperandKindError(f"plain operands must be at most 2D, got {arr.ndim}D")
-    return Tensor._wrap(arr.reshape((1,) * (2 - arr.ndim) + arr.shape), ())
+    return Tensor._wrap(arr, ())
 
 
 def _is_colon(s) -> bool:
@@ -385,11 +364,12 @@ def _is_colon(s) -> bool:
 def from_array(values) -> tuple[Tensor, list[IndexHandle]]:
     """Wrap a dense array, minting one fresh true-variant index per tensor dimension.
 
-    The tensor may share memory with ``values``; do not mutate ``values``
-    afterwards.
+    ``values`` becomes entries by :func:`_entries`' rule, so a 1-D array is one
+    row without indices.  The tensor may share memory with ``values``; do not
+    mutate ``values`` afterwards.
     """
-    arr = _as_entries(values)  # ndim >= 2, one fresh index per axis after the second
-    idx = fresh_many(max(arr.ndim - 2, 0))
+    arr = _entries(values)  # ndim >= 2, one fresh index per axis after the second
+    idx = fresh_many(arr.ndim - 2)
     return Tensor._wrap(arr, idx), idx
 
 

@@ -72,15 +72,11 @@ def test_from_array_keeps_the_layout_invariant(shape, dtype, kind):
     assert arr.flags.writeable
 
 
-_READ_AS_DEGREE_ONE = pytest.mark.xfail(
-    strict=True, reason="Tensor(...) and from_array read 1-D data as degree one")
-
-
 @pytest.mark.parametrize("value, shape", [
     pytest.param(2.0, (1, 1), id="0-D"),
     pytest.param(1j, (1, 1), id="0-D complex"),
-    pytest.param(np.zeros(0), (1, 0), id="1-D size 0", marks=_READ_AS_DEGREE_ONE),
-    pytest.param([1, 2, 3], (1, 3), id="1-D size 3", marks=_READ_AS_DEGREE_ONE),
+    pytest.param(np.zeros(0), (1, 0), id="1-D size 0"),
+    pytest.param([1, 2, 3], (1, 3), id="1-D size 3"),
     pytest.param([[1, 2], [3, 4]], (2, 2), id="2-D"),
 ])
 def test_a_plain_value_gets_one_layout_wherever_it_enters(value, shape):
