@@ -14,7 +14,8 @@ import json
 import sys
 
 from .dsl import (
-    Environment, EngineError, _truthy, evaluate, parse, run_script, summarize, to_json_record,
+    Environment, EngineError, _error_text, _truthy, evaluate, parse, run_script, summarize,
+    to_json_record,
 )
 
 
@@ -29,9 +30,7 @@ def _apply_defines(env, defines):
         env.tensors[name.strip()] = evaluate(node, env)
 
 
-def _cmd_eval(args) -> int:
-    env = Environment.with_seed(args.seed)
-    _apply_defines(env, args.define)
+def _cmd_eval(args, env) -> int:
     kind, node = parse(args.expression)
     value = evaluate(node, env)
     if kind == "assert":
@@ -45,9 +44,7 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
-    env = Environment.with_seed(args.seed)
-    _apply_defines(env, args.define)
+def _cmd_run(args, env) -> int:
     report = run_script(args.script, env, json_records=args.json)
     return 0 if report.ok else 1
 
@@ -82,10 +79,12 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_run)
 
     args = parser.parse_args(argv)
+    env = Environment.with_seed(args.seed)
     try:
-        return args.fn(args)
+        _apply_defines(env, args.define)
+        return args.fn(args, env)
     except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_error_text(exc, env)}", file=sys.stderr)
         return 1
 
 

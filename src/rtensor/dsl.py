@@ -478,7 +478,7 @@ def evaluate(node, env: Environment):
         if not all(isinstance(s, IndexSub) for s in target.subs):
             raise SubscriptKindError("assignment subscripts must be index names")
         handles = [_handle(s, env) for s in target.subs]
-        result = assign(env.tensors.get(target.name), handles, _operand(value))
+        result = assign(handles, _operand(value))
         env.tensors[target.name] = result
         return result
     raise TypeError(f"cannot evaluate {node!r}")
@@ -542,6 +542,25 @@ def _truthy(value) -> bool:
     return entries.size > 0 and bool(np.all(entries != 0))
 
 
+def _index_name(h: IndexHandle, env: Environment | None) -> str | None:
+    """The name a script gave ``h``'s identity, or None for one it never named."""
+    return env.index_name(h.id) if env else None
+
+
+def _label(h: IndexHandle, env: Environment | None) -> str:
+    """``h`` as a script writes it, ``~`` marking the false variant; an
+    identity the script never named reads as the engine's ``i<id>``."""
+    name = _index_name(h, env)
+    if name is None:
+        return repr(h)
+    return name if h.variant else "~" + name
+
+
+def _error_text(exc: EngineError, env: Environment | None) -> str:
+    """``exc``'s message with every index it names labelled as in :func:`summarize`."""
+    return exc.render(lambda v: _label(v, env) if isinstance(v, IndexHandle) else str(v))
+
+
 def summarize(value, env: Environment | None = None) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
@@ -551,12 +570,7 @@ def summarize(value, env: Environment | None = None) -> str:
     head = ", ".join(_fmt_num(v) for v in flat[:4])
     if flat.size > 4:
         head += ", ..."
-    names = []
-    for h in t.indices:
-        label = env.index_name(h.id) if env else None
-        label = label if label is not None else f"i{h.id}"
-        names.append(label if h.variant else "~" + label)
-    idx = f" [{' '.join(names)}]" if names else ""
+    idx = f" [{' '.join(_label(h, env) for h in t.indices)}]" if t.indices else ""
     return f"degree {t.degree}, {dims}{idx}, {t.kind}: [{head}]"
 
 
@@ -577,10 +591,7 @@ def to_json_record(value, env: Environment | None = None) -> dict:
         payload = {"real": arr.real.tolist(), "imag": arr.imag.tolist()}
     else:
         payload = arr.tolist()
-    indices = []
-    for h in value.indices:
-        label = env.index_name(h.id) if env else None
-        indices.append({"name": label, "variant": bool(h.variant)})
+    indices = [{"name": _index_name(h, env), "variant": bool(h.variant)} for h in value.indices]
     return {"value": payload, "dims": list(arr.shape), "indices": indices}
 
 
@@ -611,7 +622,7 @@ def run_script(path, env: Environment | None = None, emit=print, json_records=Fa
             kind, node = parse(stripped)
             value = evaluate(node, env)
         except EngineError as exc:
-            report.failures.append(f"{path}:{lineno}: error: {exc}")
+            report.failures.append(f"{path}:{lineno}: error: {_error_text(exc, env)}")
             emit(report.failures[-1])
             break
         if kind == "assert":

@@ -62,8 +62,7 @@ def _align(ops, skip):
                 continue
             if sizes.setdefault(h.id, n) != n:
                 raise DimMismatchError(
-                    f"index {h!r} has sizes {sizes[h.id]} and {n} across operands"
-                )
+                    "index {} has sizes {} and {} across operands", h, sizes[h.id], n)
     groups = [[0], [1]] + [[h] for h in union]
     aligned = [op.fold(groups) for op in ops]
     contract = tuple(h for h in union if h.id in both)

@@ -95,11 +95,11 @@ def _check_matched_sizes(a: Tensor, b: Tensor, plan: AlignmentPlan2):
     for h in plan.inner_ids:
         na, nb = sa[h.id], sb[h.id]
         if na != nb:
-            raise DimMismatchError(f"inner index {h!r} has sizes {na} and {nb}")
+            raise DimMismatchError("inner index {} has sizes {} and {}", h, na, nb)
     for h in plan.page_ids:
         na, nb = sa[h.id], sb[h.id]
         if na != nb and 1 not in (na, nb):
-            raise DimMismatchError(f"page index {h!r} has sizes {na} and {nb}")
+            raise DimMismatchError("page index {} has sizes {} and {}", h, na, nb)
     return sa, sb
 
 

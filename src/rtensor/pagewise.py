@@ -93,7 +93,7 @@ def concat(where, operands) -> Tensor:
     if isinstance(where, IndexHandle):
         for op in ops:
             if all(h.id != where.id for h in op.indices):
-                raise UnknownIndexError(f"operand lacks concatenation index {where!r}")
+                raise UnknownIndexError("operand lacks concatenation index {}", where)
         ax = 2 + union.index(where.id)
     else:
         ax = _resolve_axis(where)

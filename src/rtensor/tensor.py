@@ -288,7 +288,7 @@ class Tensor:
         ids = [h.id for h in new_idx]
         for h in self.indices:
             if h.id not in ids:
-                raise UnknownIndexError(f"subscripts do not cover index {h!r}")
+                raise UnknownIndexError("subscripts do not cover index {}", h)
         if len(set(ids)) != len(ids):
             raise SubscriptKindError("permutation lists an identity twice")
         _check_degree(len(ids))
@@ -325,8 +325,7 @@ class Tensor:
                 sizes = sorted({self.entries.shape[a] for a in group})
                 if len(sizes) > 1:
                     raise DimMismatchError(
-                        f"index {self.indices[group[0] - 2]!r} repeats with sizes {sizes}"
-                    )
+                        "index {} repeats with sizes {}", self.indices[group[0] - 2], sizes)
                 if len({self.indices[a - 2].variant for a in group}) > 1:
                     summed.add(i)
         # the unrepeated axes pass through "..." ahead of the repeated ones
@@ -378,12 +377,11 @@ def with_indices(values, idx: Sequence[IndexHandle]) -> Tensor:
     return Tensor(values, idx)
 
 
-def assign(dst: Tensor | None, subs: Sequence[IndexHandle], src) -> Tensor:
+def assign(subs: Sequence[IndexHandle], src) -> Tensor:
     """Indexed assignment: permute ``src`` into the order of ``subs``.
 
     The result's indices are ``subs`` verbatim, so the left-hand subscripts fix
-    both the dimension order and the variants.  ``dst`` only names the binding
-    being overwritten; its prior value never matters.
+    both the dimension order and the variants.
     """
     if not isinstance(src, Tensor):
         raise AssignKindError("indexed assignment requires a tensor right-hand side")

@@ -223,7 +223,6 @@ def test_criterion_2_golden_expression_suite():
         "z(i,~j) = y(~j,i)",
         build_y,
         lambda env: assign(
-            None,
             [env.index("i"), ~env.index("j")],
             env.tensors["y"].reindex([~env.index("j"), env.index("i")]),
         ),

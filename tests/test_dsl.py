@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtensor import with_indices
+from rtensor import fresh, with_indices
 from rtensor.cli import main as rt_main
 from rtensor.dsl import (
     Assign,
@@ -423,6 +423,34 @@ def test_a_one_dimensional_result_is_degree_one(capsys, text, n):
     rec = json.loads(capsys.readouterr().out)
     assert rec["dims"] == [1, 1, n]
     assert len(rec["indices"]) == 1
+
+
+@pytest.mark.parametrize("text, message", [
+    ("b(i) = m(i,j)", "subscripts do not cover index j"),
+    ("a(k) + c(k)", "index k has sizes 3 and 4 across operands"),
+    ("a(k) .* c(~k)", "index ~k has sizes 3 and 4 across operands"),
+])
+def test_an_error_names_indices_as_the_statement_does(tmp_path, capsys, text, message):
+    defines = ["--define", "m=[1 2; 3 4]", "--define", "a=ones(3)", "--define", "c=ones(4)"]
+    assert rt_main(["eval", text, *defines]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    script = tmp_path / "s.rts"
+    script.write_text(text + "\n")
+    assert rt_main(["run", str(script), *defines]) == 1
+    assert capsys.readouterr().out == f"{script}:1: error: {message}\n"
+
+
+def test_a_binding_named_like_an_engine_index_keeps_its_name_in_errors(tmp_path, capsys):
+    env = Environment()
+    j = env.index("j")
+    script = tmp_path / "s.rts"
+    script.write_text(f"x(j) = i{j.id}\n")
+    assert not run_script(script, env).ok
+    assert capsys.readouterr().out == f"{script}:1: error: unknown name 'i{j.id}'\n"
+    # here j is the first index rt eval names, so it takes the next identity
+    n = fresh().id + 1
+    assert rt_main(["eval", f"a(j) + i{n}", "--define", "a=[1 2]"]) == 1
+    assert capsys.readouterr().err == f"error: unknown name 'i{n}'\n"
 
 
 @pytest.mark.parametrize("case", ["missing", "directory", "not utf-8"])

@@ -126,7 +126,7 @@ def _permute(c):
 
 def _assign(c):
     i, j, k = c.ids
-    return assign(None, [~j, k, i], c.tensor((2, 3), [i, j]))
+    return assign([~j, k, i], c.tensor((2, 3), [i, j]))
 
 
 def _pagewise(fn):

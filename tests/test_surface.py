@@ -103,4 +103,4 @@ def test_an_assignment_that_misses_an_index_names_it():
     i, j = fresh_many(2)
     y = with_indices(np.random.rand(1, 1, 2, 3), [i, j])
     with pytest.raises(UnknownIndexError, match=f"^subscripts do not cover index {j!r}$"):
-        assign(None, [i], y)
+        assign([i], y)

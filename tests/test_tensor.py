@@ -292,7 +292,7 @@ def test_assign_permutes_and_adopts_variants():
     i, j = fresh_many(2)
     arr = np.arange(6.0).reshape(1, 1, 2, 3)
     y = with_indices(arr, [~j, i])  # j-dim size 2, i-dim size 3
-    z = assign(None, [i, ~j], y)
+    z = assign([i, ~j], y)
     assert z.indices == (i, ~j)
     want = np.transpose(arr, (0, 1, 3, 2))
     np.testing.assert_array_equal(z.entries, want)
@@ -300,7 +300,7 @@ def test_assign_permutes_and_adopts_variants():
 
 def test_assign_identity_permutation():
     y, idx = from_array(np.random.rand(1, 1, 2, 3))
-    z = assign(None, y.indices, y)
+    z = assign(y.indices, y)
     np.testing.assert_array_equal(z.entries, y.entries)
     assert z.indices == y.indices
 
@@ -309,7 +309,7 @@ def test_assign_missing_id():
     i, j = fresh_many(2)
     y = with_indices(np.random.rand(1, 1, 2, 3), [i, j])
     with pytest.raises(UnknownIndexError):
-        assign(None, [i], y)
+        assign([i], y)
 
 
 def test_assign_non_tensor_source():
@@ -317,7 +317,7 @@ def test_assign_non_tensor_source():
 
     i = fresh()
     with pytest.raises(AssignKindError):
-        assign(None, [i], np.zeros((1, 1, 2)))
+        assign([i], np.zeros((1, 1, 2)))
 
 
 def test_permute_swap():
