@@ -36,6 +36,12 @@ def dim_of(entries, indices, h):
     return 1
 
 
+def joint(*sizes):
+    """The size that axes of ``sizes`` broadcast to: the one that is not 1
+    (0 included), or 1 when all are."""
+    return next((n for n in sizes if n != 1), 1)
+
+
 def loop_product(ae, ai, be, bi):
     """Naive product: classify ids, then sum with nested loops.
 
@@ -50,8 +56,8 @@ def loop_product(ae, ai, be, bi):
     a_out = [h for h in ai if h.id not in b_pos]
     b_out = [h for h in bi if h.id not in a_ids]
 
-    inner_dims = [max(dim_of(ae, ai, h), dim_of(be, bi, h)) for h in inner]
-    page_dims = [max(dim_of(ae, ai, h), dim_of(be, bi, h)) for h in pages]
+    inner_dims = [joint(dim_of(ae, ai, h), dim_of(be, bi, h)) for h in inner]
+    page_dims = [joint(dim_of(ae, ai, h), dim_of(be, bi, h)) for h in pages]
     a_out_dims = [dim_of(ae, ai, h) for h in a_out]
     b_out_dims = [dim_of(be, bi, h) for h in b_out]
 
@@ -123,7 +129,7 @@ def loop_solve(ae, ai, be, bi, side):
     rhs_mat = list(be.shape[:2]) if blocks else [be.shape[1 - eq_axis]]
     unk_dims = [dim_of(ae, ai, h) for h in unknown]
     rhs_dims = [dim_of(be, bi, h) for h in rhs]
-    page_dims = [max(dim_of(ae, ai, h), dim_of(be, bi, h)) for h in pages]
+    page_dims = [joint(dim_of(ae, ai, h), dim_of(be, bi, h)) for h in pages]
     eqs = list(itertools.product(range(n_eq), *(range(dim_of(ae, ai, h)) for h in inner)))
     unks = list(itertools.product(range(n_free), *(range(d) for d in unk_dims)))
     rhss = list(itertools.product(*(range(d) for d in rhs_mat + rhs_dims)))
@@ -184,10 +190,10 @@ def loop_ewise(fn, ae, ai, be, bi):
         elif variants[h.id].variant != h.variant:
             both.add(h.id)
 
-    dims = [max(dim_of(ae, ai, h), dim_of(be, bi, h)) for h in union]
-    rows = max(ae.shape[0], be.shape[0])
-    cols = max(ae.shape[1], be.shape[1])
-    sample = fn(ae.ravel()[0], be.ravel()[0])
+    dims = [joint(dim_of(ae, ai, h), dim_of(be, bi, h)) for h in union]
+    rows = joint(ae.shape[0], be.shape[0])
+    cols = joint(ae.shape[1], be.shape[1])
+    sample = fn(*(e.ravel()[0] if e.size else e.dtype.type(0) for e in (ae, be)))
     out = np.zeros([rows, cols] + dims, dtype=np.result_type(type(sample), np.float64) if not isinstance(sample, (bool, np.bool_)) else np.bool_)
     for vals in itertools.product(*(range(d) for d in dims)):
         assign_map = {h.id: v for h, v in zip(union, vals)}
@@ -258,9 +264,9 @@ def selector_concat(ops, where):
         if h.id == where:
             dims.append(sum(j_sizes))
         else:
-            dims.append(max(dim_of(e, idx, h) for e, idx in ops))
-    rows = max(e.shape[0] for e, _ in ops)
-    cols = max(e.shape[1] for e, _ in ops)
+            dims.append(joint(*(dim_of(e, idx, h) for e, idx in ops)))
+    rows = joint(*(e.shape[0] for e, _ in ops))
+    cols = joint(*(e.shape[1] for e, _ in ops))
     if matrix_axis == 0:
         rows = sum(j_sizes)
     elif matrix_axis == 1:

@@ -28,20 +28,20 @@ def _entries(rng, shape, kind):
 def concat_cases(draw):
     where = draw(st.sampled_from(("index", "axis", "rows", "cols")))
     others = [h if draw(st.booleans()) else ~h for h in fresh_many(draw(st.integers(0, 2)))]
-    size = {h.id: draw(st.integers(2, 3)) for h in others}
+    size = {h.id: draw(st.sampled_from((0, 2, 3))) for h in others}
     j = fresh() if where in ("index", "axis") else None
-    mat = [draw(st.integers(1, 3)), draw(st.integers(1, 3))]
+    mat = [draw(st.integers(0, 3)), draw(st.integers(0, 3))]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ops = []
     for _ in range(draw(st.integers(2, 3))):
         shape = list(mat)
         if j is None:
-            shape[("rows", "cols").index(where)] = draw(st.integers(1, 3))
+            shape[("rows", "cols").index(where)] = draw(st.integers(0, 3))
         handles = [h for h in others if draw(st.sampled_from(("in", "in", "size 1", "missing"))) != "missing"]
         sizes = {h.id: size[h.id] if draw(st.booleans()) else 1 for h in handles}
         if j is not None:
             handles.append(j)
-            sizes[j.id] = draw(st.integers(1, 3))
+            sizes[j.id] = draw(st.integers(0, 3))
         order = draw(st.permutations(handles))
         entries = _entries(rng, tuple(shape) + tuple(sizes[h.id] for h in order),
                            draw(st.sampled_from(KINDS)))

@@ -2,7 +2,7 @@
 
 Cases draw every operator family (arithmetic, relations, logical), ids shared
 with equal variants (entrywise) and with complementary variants (summed after
-the operation), ids of one operand only, size-1 tensor and matrix axes on
+the operation), ids of one operand only, sizes 0 to 3, size-1 tensor and matrix axes on
 either side, and bool, real and complex element kinds.
 """
 
@@ -61,7 +61,7 @@ def ewise_cases(draw):
     a_handles, b_handles, a_sizes, b_sizes = [], [], [], []
     for h in same + mixed:
         h = h if draw(st.booleans()) else ~h
-        size = draw(st.integers(1, 3))
+        size = draw(st.integers(0, 3))
         one = draw(st.sampled_from(("none", "none", "a", "b")))
         a_handles.append(h)
         b_handles.append(~h if h.id in {m.id for m in mixed} else h)
@@ -69,11 +69,11 @@ def ewise_cases(draw):
         b_sizes.append(1 if one == "b" else size)
     for h in a_only:
         a_handles.append(h if draw(st.booleans()) else ~h)
-        a_sizes.append(draw(st.integers(1, 3)))
+        a_sizes.append(draw(st.integers(0, 3)))
     for h in b_only:
         b_handles.append(h if draw(st.booleans()) else ~h)
-        b_sizes.append(draw(st.integers(1, 3)))
-    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        b_sizes.append(draw(st.integers(0, 3)))
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def operand(handles, sizes):

@@ -231,10 +231,10 @@ def _check_simplify(arr, subs):
 def repeat_cases(draw):
     repeated = fresh_many(draw(st.integers(1, 3)))
     single = fresh_many(draw(st.integers(0, 2)))
-    size = {h.id: draw(st.integers(1, 3)) for h in repeated + single}
+    size = {h.id: draw(st.integers(0, 3)) for h in repeated + single}
     slots = single + [h for h in repeated for _ in range(draw(st.integers(1, 3)))]
     subs = [h if draw(st.booleans()) else ~h for h in draw(st.permutations(slots))]
-    mat = (draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+    mat = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     arr = _entries(rng, mat + tuple(size[h.id] for h in subs), draw(st.sampled_from(KINDS)))
     return arr, subs
