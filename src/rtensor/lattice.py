@@ -169,8 +169,9 @@ def _page_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
     Page axes broadcast, so a size-1 page of either operand serves every page
     of the other.  Square pages use LU with partial pivoting, tall pages QR
-    least squares, and pages without unknowns have the empty solution.
-    Underdetermined pages are rejected and singular pages raise
+    least squares.  Pages without unknowns, and an empty set of pages, have
+    the empty solution, so a singular page broadcast over no pages is never
+    solved.  Underdetermined pages are rejected and singular pages raise
     :class:`SingularPageError` with the offending page, counted row-major
     over the broadcast pages.
     """
@@ -180,8 +181,8 @@ def _page_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
             f"underdetermined pages: {m} equations for {k} unknowns"
         )
     pages = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
-    if k == 0:  # no unknowns: the empty solution
-        return np.zeros(pages + (0, B.shape[-1]), np.result_type(A, B))
+    if k == 0 or 0 in pages:
+        return np.zeros(pages + (k, B.shape[-1]), np.result_type(A, B))
     if m == k:
         try:
             return np.linalg.solve(A, B)

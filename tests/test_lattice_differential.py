@@ -180,8 +180,7 @@ def test_singular_broadcast_page_counts_result_pages(tall):
     assert err.value.page == 3
 
 
-@pytest.mark.parametrize("tall", [False, pytest.param(True, marks=pytest.mark.xfail(
-    strict=True, reason="the QR path numbers the singular page among no pages"))])
+@pytest.mark.parametrize("tall", [False, True])
 def test_a_singular_page_broadcast_over_no_pages_is_never_solved(tall):
     # the denominator's one page is singular; the numerator has 0 pages on p
     p = fresh()
