@@ -548,12 +548,9 @@ def _index_name(h: IndexHandle, env: Environment | None) -> str | None:
 
 
 def _label(h: IndexHandle, env: Environment | None) -> str:
-    """``h`` as a script writes it, ``~`` marking the false variant; an
-    identity the script never named reads as the engine's ``i<id>``."""
+    """``h`` as a script writes it; an identity it never named reads as ``i<id>``."""
     name = _index_name(h, env)
-    if name is None:
-        return repr(h)
-    return name if h.variant else "~" + name
+    return repr(h) if name is None else name if h.variant else "~" + name
 
 
 def _error_text(exc: EngineError, env: Environment | None) -> str:

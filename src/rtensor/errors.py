@@ -2,23 +2,17 @@
 
 
 class EngineError(Exception):
-    """Base class for every error this package raises on purpose.
-
-    An error that names index handles is raised with a ``str.format``
-    template and its values, ``DimMismatchError("index {} has sizes {} and
-    {}", h, 2, 3)``, so :meth:`render` can show the handles by the names a
-    script gave them; ``str`` shows each as the engine's ``i<id>``.
-    """
+    """Base class for every error this package raises on purpose.  A message
+    that names index handles is a ``str.format`` template followed by its
+    values, so :meth:`render` can show the handles by a script's names."""
 
     def __str__(self) -> str:
         return self.render(str)
 
     def render(self, show) -> str:
         """The message, each value of its template passed through ``show``."""
-        if len(self.args) < 2:
-            return super().__str__()
-        template, *values = self.args
-        return template.format(*map(show, values))
+        template, *values = self.args or ("",)
+        return template.format(*map(show, values)) if values else str(template)
 
 
 class IndexArityError(EngineError):

@@ -112,9 +112,7 @@ class Tensor:
     identities in the index list are allowed until :meth:`simplify` runs;
     every engine operation simplifies its operands on entry.
 
-    The public constructor coerces its input by :func:`_entries`, the rule
-    every plain value follows, and checks that each axis past the ones
-    ``indices`` address has size 1.
+    The public constructor checks and coerces its input into that invariant.
     Arrays the engine builds itself already hold it, so the engine wraps them
     with the private, trusted :meth:`_wrap`, which skips every check.
     """
@@ -363,9 +361,8 @@ def _is_colon(s) -> bool:
 def from_array(values) -> tuple[Tensor, list[IndexHandle]]:
     """Wrap a dense array, minting one fresh true-variant index per tensor dimension.
 
-    ``values`` becomes entries by :func:`_entries`' rule, so a 1-D array is one
-    row without indices.  The tensor may share memory with ``values``; do not
-    mutate ``values`` afterwards.
+    A 1-D ``values`` is one row.  The tensor may share memory with ``values``;
+    do not mutate ``values`` afterwards.
     """
     arr = _entries(values)  # ndim >= 2, one fresh index per axis after the second
     idx = fresh_many(arr.ndim - 2)
