@@ -332,6 +332,15 @@ def test_optimize_reduces_sse_on_small_instance():
     assert all(traj[k + 1] <= traj[k] for k in range(len(traj) - 1))
 
 
+def test_criterion_9_instance_reaches_its_floor_in_few_hessian_products():
+    # unpreconditioned CG spends 953 products here; the scaled one about 130
+    inst = make_instance(SceneConfig(size=64, seed=7))
+    floor = 1e-3 * sse(np.zeros(inst.aberrated.shape), inst.aberrated, inst.mask)[0]
+    report = optimize(inst.aberrated, inst.mask, TrustRegionOptions(max_iter=200, sse_floor=floor))
+    assert report.stop_reason == "sse_floor"
+    assert sum(report.cg_iterations) <= 300
+
+
 def test_solve_transforms_the_image_once(monkeypatch):
     model_module = sys.modules[state_at.__module__]
     calls = {"fft2": 0, "ifft2": 0}
