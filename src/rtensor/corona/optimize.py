@@ -4,6 +4,13 @@ The inner subproblem is solved by Steihaug's truncated conjugate gradient,
 with Hessian-vector products supplied by the Hessian-multiply function at the
 current iterate, so no Hessian is ever formed.  CG also carries the Hessian
 applied to its step, so the predicted reduction costs no extra multiply.
+
+CG is Jacobi-preconditioned by a change of variables (Steihaug 1983; Nocedal
+and Wright, *Numerical Optimization*, ch. 4 and 7): with ``s`` the inverse
+square root of the Hessian diagonal's closed form, floored, CG works on
+``s o g`` and ``s o H(s o v)`` and the step is ``s o`` its result, so the
+trust region bounds the step in the scaled norm ``|step / s|``.  ``s`` is
+recomputed at each accepted point from what the model state already holds.
 Accepted steps strictly decrease the SSE; the trajectory of accepted values is
 therefore nonincreasing.  A non-finite reduction ratio shrinks the radius like
 a poor one, so the solver cannot repeat a rejected step forever.
@@ -30,6 +37,7 @@ _RHO_EXPAND = 0.75
 _RHO_SHRINK = 0.25
 _RHO_ACCEPT = 1e-4
 _RADIUS_COLLAPSE = 1e-13
+_DIAG_FLOOR = 1e-3  # relative to max|d|; 1e-2 and 1e-6 both cost more Hessian products
 
 
 @dataclass(frozen=True)
@@ -44,7 +52,9 @@ class TrustRegionOptions:
 class OptReport:
     """The solver's result.  ``sse_trajectory``, ``grad_norms`` and
     ``wall_times`` hold the start and each accepted step; ``radii`` the start
-    and every iteration."""
+    and every iteration.  Radii, like the radius ``verbose`` prints, are in
+    the scaled norm the preconditioned CG works in; ``grad_norms`` are of the
+    unscaled gradient."""
 
     iterations: int
     sse_trajectory: list[float]
@@ -101,6 +111,24 @@ def _to_boundary(z, d, radius):
     return (-zd + np.sqrt(zd * zd + dd * (radius * radius - zz))) / dd
 
 
+def _jacobi_scaling(state, s):
+    """Write into ``s`` the scaling ``1/sqrt(max(|d|, _DIAG_FLOOR * max|d|))``.
+
+    ``d = (f*|yt|^2 - 2*curvature)/MN``, with ``f`` the deviant fraction
+    ``mean(w)``, is the Hessian diagonal without its term in ``fft2(w)``, so
+    it costs no transform.  ``s`` is filled in place to keep the solve's peak.
+    """
+    np.abs(state.yt, out=s)
+    s *= s
+    s *= 0.5 * state.w.mean()
+    s -= state.curvature
+    s *= 2.0 / s.size
+    np.abs(s, out=s)
+    np.maximum(s, _DIAG_FLOOR * s.max() or 1.0, out=s)  # a zero diagonal leaves CG unscaled
+    np.sqrt(s, out=s)
+    np.divide(1.0, s, out=s)
+
+
 def optimize(xa, wb, options: TrustRegionOptions | None = None) -> OptReport:
     """Minimize the SSE over the phase matrix, starting from zeros."""
     opts = options or TrustRegionOptions()
@@ -116,9 +144,13 @@ def optimize(xa, wb, options: TrustRegionOptions | None = None) -> OptReport:
     start = time.perf_counter()
     it = 0
 
-    def hv(d):
-        f = hess_mult_cached(state, d)
-        return f[:, 0].reshape(d.shape)
+    s = np.empty(state.phi.shape)
+    _jacobi_scaling(state, s)
+
+    def scaled_hv(v):
+        hv = hess_mult_cached(state, s * v)[:, 0].reshape(v.shape)
+        hv *= s
+        return hv
 
     while it < opts.max_iter:
         gn_inf = float(np.abs(state.grad).max())
@@ -128,15 +160,17 @@ def optimize(xa, wb, options: TrustRegionOptions | None = None) -> OptReport:
         if state.e <= opts.sse_floor:
             stop = "sse_floor"
             break
-        g = state.grad
+        g = s * state.grad
         gn2 = float(np.linalg.norm(g))
         tol = min(_CG_FORCING, np.sqrt(gn2)) * gn2
-        step, hs, boundary, k = _steihaug(g, hv, radius, tol, _CG_MAX_ITER)
+        step, hs, boundary, k = _steihaug(g, scaled_hv, radius, tol, _CG_MAX_ITER)
         cg_iters.append(k)
         if not np.any(step):
             stop = "no_step"
             break
         pred = -(float(g.ravel() @ step.ravel()) + 0.5 * float(step.ravel() @ hs.ravel()))
+        del g, hs
+        step *= s
         trial = state.at(state.phi + step)
         actual = state.e - trial.e
         rho = actual / pred if pred > 0 else -np.inf
@@ -148,6 +182,7 @@ def optimize(xa, wb, options: TrustRegionOptions | None = None) -> OptReport:
         accepted = rho > _RHO_ACCEPT and trial.e < state.e
         if accepted:
             state = trial
+            _jacobi_scaling(state, s)
             trajectory.append(state.e)
             grad_norms.append(float(np.abs(state.grad).max()))
             wall.append(time.perf_counter() - start)
