@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..errors import BoundsError
 from .model import hess_mult_cached, state_at
 
 __all__ = ["TrustRegionOptions", "OptReport", "optimize"]
@@ -46,6 +47,13 @@ class TrustRegionOptions:
     grad_tol: float = 1e-8
     sse_floor: float = 1e-22
     verbose: bool = False
+
+    def __post_init__(self):
+        # a negative cap runs no iteration, and a NaN tolerance never stops the solve
+        for name in ("max_iter", "grad_tol", "sse_floor"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise BoundsError(f"{name} must be nonnegative, got {value}")
 
 
 @dataclass

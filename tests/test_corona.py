@@ -20,7 +20,7 @@ from rtensor.corona import (
     state_at,
     hess_mult_cached,
 )
-from rtensor.errors import DimMismatchError, SpecError
+from rtensor.errors import BoundsError, DimMismatchError, SpecError
 from rtensor.corona.optimize import _steihaug
 from rtensor.corona.scene import PlanetSpec
 
@@ -339,6 +339,22 @@ def test_criterion_9_instance_reaches_its_floor_in_few_hessian_products():
     report = optimize(inst.aberrated, inst.mask, TrustRegionOptions(max_iter=200, sse_floor=floor))
     assert report.stop_reason == "sse_floor"
     assert sum(report.cg_iterations) <= 300
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_iter", -3), ("grad_tol", float("nan")), ("grad_tol", -1e-8),
+    ("sse_floor", float("nan")), ("sse_floor", -1.0),
+])
+def test_options_that_would_disable_the_solver_are_rejected(field, value):
+    with pytest.raises(BoundsError, match=f"^{field} must be nonnegative, got "):
+        TrustRegionOptions(**{field: value})
+
+
+def test_zero_iterations_stay_a_valid_cap():
+    inst = make_instance(SceneConfig(size=32, seed=9))
+    report = optimize(inst.aberrated, inst.mask, TrustRegionOptions(max_iter=0))
+    assert report.iterations == 0 and report.stop_reason == "max_iter"
+    assert report.sse_trajectory == [report.sse_trajectory[0]]
 
 
 def test_solve_transforms_the_image_once(monkeypatch):

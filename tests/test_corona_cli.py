@@ -178,6 +178,18 @@ def test_bench_with_no_repetitions_is_reported_before_writing(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option, value, field", [
+    ("--max-iter", "-3", "max_iter"), ("--grad-tol", "nan", "grad_tol"), ("--grad-tol", "-1", "grad_tol"),
+])
+def test_solve_rejects_a_setting_that_disables_the_solver(tmp_path, capsys, option, value, field):
+    scene = tmp_path / "scene"
+    assert corona_main(["synth", "--size", "32", "--out", str(scene)]) == 0
+    out = tmp_path / "out"
+    assert corona_main(["solve", "--in", str(scene), option, value, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field} must be nonnegative, got ")
+    assert not out.exists()
+
+
 def test_solve_reports_a_malformed_csv_with_its_path(tmp_path, capsys):
     scene = tmp_path / "scene"
     assert corona_main(["synth", "--size", "32", "--out", str(scene)]) == 0
