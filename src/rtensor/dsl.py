@@ -547,15 +547,18 @@ def _index_name(h: IndexHandle, env: Environment | None) -> str | None:
     return env.index_name(h.id) if env else None
 
 
-def _label(h: IndexHandle, env: Environment | None) -> str:
-    """``h`` as a script writes it; an identity it never named reads as ``i<id>``."""
-    name = _index_name(h, env)
+def _label(h: IndexHandle, env: Environment | None, unnamed: str | None = None) -> str:
+    """``h`` as a script writes it; an identity it never named reads as
+    ``unnamed``, or as ``i<id>`` when that is None."""
+    name = _index_name(h, env) or unnamed
     return repr(h) if name is None else name if h.variant else "~" + name
 
 
 def _error_text(exc: EngineError, env: Environment | None) -> str:
-    """``exc``'s message with every index it names labelled as in :func:`summarize`."""
-    return exc.render(lambda v: _label(v, env) if isinstance(v, IndexHandle) else str(v))
+    """``exc``'s message with every index it names labelled as in :func:`summarize`,
+    except that one the script never named reads as ``(unnamed)``: the user
+    can neither see nor write its ``i<id>``."""
+    return exc.render(lambda v: _label(v, env, "(unnamed)") if isinstance(v, IndexHandle) else str(v))
 
 
 def summarize(value, env: Environment | None = None) -> str:

@@ -429,6 +429,7 @@ def test_a_one_dimensional_result_is_degree_one(capsys, text, n):
     ("b(i) = m(i,j)", "subscripts do not cover index j"),
     ("a(k) + c(k)", "index k has sizes 3 and 4 across operands"),
     ("a(k) .* c(~k)", "index ~k has sizes 3 and 4 across operands"),
+    ("x(i) = ones(3)", "subscripts do not cover index (unnamed)"),  # not the i<id> ones(3) minted
 ])
 def test_an_error_names_indices_as_the_statement_does(tmp_path, capsys, text, message):
     defines = ["--define", "m=[1 2; 3 4]", "--define", "a=ones(3)", "--define", "c=ones(4)"]
