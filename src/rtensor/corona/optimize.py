@@ -177,9 +177,10 @@ def optimize(xa, wb, options: TrustRegionOptions | None = None) -> OptReport:
             stop = "no_step"
             break
         pred = -(float(g.ravel() @ step.ravel()) + 0.5 * float(step.ravel() @ hs.ravel()))
-        del g, hs
+        del g, hs  # the trial evaluation below sets the solve's memory peak
         step *= s
-        trial = state.at(state.phi + step)
+        step += state.phi
+        trial = state.at(step)  # its phase is this buffer
         actual = state.e - trial.e
         rho = actual / pred if pred > 0 else -np.inf
 
@@ -194,6 +195,7 @@ def optimize(xa, wb, options: TrustRegionOptions | None = None) -> OptReport:
             trajectory.append(state.e)
             grad_norms.append(float(np.abs(state.grad).max()))
             wall.append(time.perf_counter() - start)
+        del step, trial  # a rejected trial would otherwise live through the next CG
         it += 1
         radii.append(radius)
         if opts.verbose:
