@@ -4,6 +4,9 @@ The inner subproblem is solved by Steihaug's truncated conjugate gradient,
 with Hessian-vector products supplied by the Hessian-multiply function at the
 current iterate, so no Hessian is ever formed.  CG also carries the Hessian
 applied to its step, so the predicted reduction costs no extra multiply.
+Accepted steps strictly decrease the SSE; the trajectory of accepted values is
+therefore nonincreasing.  A non-finite reduction ratio shrinks the radius like
+a poor one, so the solver cannot repeat a rejected step forever.
 
 CG is Jacobi-preconditioned by a change of variables (Steihaug 1983; Nocedal
 and Wright, *Numerical Optimization*, ch. 4 and 7): with ``s`` the inverse
@@ -11,9 +14,6 @@ square root of the Hessian diagonal's closed form, floored, CG works on
 ``s o g`` and ``s o H(s o v)`` and the step is ``s o`` its result, so the
 trust region bounds the step in the scaled norm ``|step / s|``.  ``s`` is
 recomputed at each accepted point from what the model state already holds.
-Accepted steps strictly decrease the SSE; the trajectory of accepted values is
-therefore nonincreasing.  A non-finite reduction ratio shrinks the radius like
-a poor one, so the solver cannot repeat a rejected step forever.
 """
 
 from __future__ import annotations
