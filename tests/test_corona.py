@@ -254,6 +254,25 @@ def test_hess_mult_cached_matches_direct():
     )
 
 
+@given(
+    size=st.sampled_from([(5, 5), (7, 7), (11, 13), (4, 6), (9, 4), (3, 8), (13, 7)]),  # odd, prime, non-square
+    pages=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_each_page_of_a_product_is_its_own_product(size, pages, seed):
+    m, n = size
+    rng = np.random.default_rng(seed)
+    state = state_at(rng.uniform(-np.pi, np.pi, (m, n)), rng.standard_normal((m, n)),
+                     rng.random((m, n)) < 0.5)
+    dphi = rng.standard_normal((m, n, pages))
+    f = hess_mult_cached(state, dphi)
+    assert f.shape == (m * n, pages)
+    for k in range(pages):
+        one = hess_mult_cached(state, dphi[:, :, k])
+        assert np.abs(f[:, k] - one[:, 0]).max() <= 1e-12 * np.abs(f).max()
+
+
 def _agrees(got, want, tol=1e-10):
     np.testing.assert_allclose(got, want, rtol=0, atol=tol * max(np.abs(want).max(), 1.0))
 
