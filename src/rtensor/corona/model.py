@@ -148,11 +148,28 @@ def hess_mult_cached(state: AberrationState, dphi):
     return _hess_kernel(state.yt, state.w, state.curvature, dphi)
 
 
+def _rev(x):
+    """``x`` with its last two axes index-reversed: x[..., -k mod M, -l mod N].
+    For any z, ifft2(_rev(conj(z))) = conj(ifft2(z)) and fft2 likewise."""
+    return np.roll(x[..., ::-1, ::-1], 1, axis=(-2, -1))
+
+
 def _hess_kernel(yt, w, curvature, dphi):
     """(2/MN) * (Im(conj(yt) o fft2(w o Re(ifft2(i yt o D)))) - curvature o D) per page D.
 
     Re(ifft2(i z)) = -Im(ifft2(z)), so the transforms take yt o D as it is
     and the sign moves into the final scale.
+
+    Both transforms of a page have a real end: u = Im ifft2(yt o D) and the
+    input w o u of fft2.  So pages a and b go through one complex transform
+    each way (two real transforms in one, Numerical Recipes 12.3): with
+    e = D_b - i D_a, ifft2((yt o e - rev(conj(yt) o e)) / 2) = u_a + i u_b, the
+    real mask keeps the pair packed, and T = fft2(w o (u_a + i u_b)) = G_a + i G_b.
+    With Q = conj(yt) o T - yt o rev(T), Im(conj(yt) o G_a) = Im(Q) / 2 and
+    Im(conj(yt) o G_b) = -Re(Q) / 2.  Page a is one of the first P // 2
+    pages, b the page P // 2 after it; the pairs are batched pages-first,
+    which numpy transforms faster than pages-last.  An odd last page is
+    transformed alone.
     """
     dphi = _real("steps", dphi)
     if dphi.ndim == 2:
@@ -160,8 +177,31 @@ def _hess_kernel(yt, w, curvature, dphi):
     if dphi.ndim != 3 or dphi.shape[:2] != w.shape:
         raise DimMismatchError(f"shapes disagree: image {w.shape}, steps {dphi.shape}")
     mn = w.size
-    g = fft2(w[:, :, None] * ifft2(yt[:, :, None] * dphi).imag)
+    m, n, pages = dphi.shape
+    h = pages // 2
     f = curvature[:, :, None] * dphi
-    f += np.imag(np.conj(yt)[:, :, None] * g)
+    if pages % 2:
+        g = fft2(w[:, :, None] * ifft2(yt[:, :, None] * dphi[:, :, 2 * h:]).imag)
+        f[:, :, 2 * h:] += np.imag(np.conj(yt)[:, :, None] * g)
+    if h:
+        e = np.empty((h, m, n), np.complex128)
+        e.real = np.moveaxis(dphi[:, :, h:2 * h], 2, 0)
+        np.negative(np.moveaxis(dphi[:, :, :h], 2, 0), out=e.imag)
+        c = np.conj(yt) * e
+        e *= yt
+        e -= _rev(c)
+        del c
+        # the halves of the packing identities are folded into one exact 1/4 below
+        t = ifft2(np.moveaxis(e, 0, 2))
+        del e
+        t *= w[:, :, None]
+        t = np.moveaxis(fft2(t), 2, 0)
+        q = _rev(t)
+        q *= yt
+        t *= np.conj(yt)
+        t -= q
+        del q
+        f[:, :, :h] += 0.25 * np.moveaxis(t.imag, 0, 2)
+        f[:, :, h:2 * h] -= 0.25 * np.moveaxis(t.real, 0, 2)
     f *= -2.0 / mn
-    return f.reshape(mn, dphi.shape[2])
+    return f.reshape(mn, pages)

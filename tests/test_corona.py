@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,6 +255,13 @@ def test_hess_mult_cached_matches_direct():
     )
 
 
+def _uniform_state(m, n, seed):
+    rng = np.random.default_rng(seed)
+    state = state_at(rng.uniform(-np.pi, np.pi, (m, n)), rng.standard_normal((m, n)),
+                     rng.random((m, n)) < 0.5)
+    return state, rng
+
+
 @given(
     size=st.sampled_from([(5, 5), (7, 7), (11, 13), (4, 6), (9, 4), (3, 8), (13, 7)]),  # odd, prime, non-square
     pages=st.integers(0, 5),
@@ -262,15 +270,48 @@ def test_hess_mult_cached_matches_direct():
 @settings(max_examples=40, deadline=None)
 def test_each_page_of_a_product_is_its_own_product(size, pages, seed):
     m, n = size
-    rng = np.random.default_rng(seed)
-    state = state_at(rng.uniform(-np.pi, np.pi, (m, n)), rng.standard_normal((m, n)),
-                     rng.random((m, n)) < 0.5)
+    state, rng = _uniform_state(m, n, seed)
     dphi = rng.standard_normal((m, n, pages))
     f = hess_mult_cached(state, dphi)
     assert f.shape == (m * n, pages)
     for k in range(pages):
         one = hess_mult_cached(state, dphi[:, :, k])
         assert np.abs(f[:, k] - one[:, 0]).max() <= 1e-12 * np.abs(f).max()
+
+
+@pytest.mark.parametrize("pages", [1, 2, 3, 4, 5])
+def test_a_product_transforms_each_pair_of_pages_once(monkeypatch, pages):
+    model_module = sys.modules[state_at.__module__]
+    planes = {"fft2": 0, "ifft2": 0}
+
+    def counted(name):
+        transform = getattr(model_module, name)
+
+        def count(x):
+            planes[name] += 1 if x.ndim == 2 else x.shape[2]
+            return transform(x)
+
+        return count
+
+    state, rng = _uniform_state(9, 7, 5)
+    for name in planes:
+        monkeypatch.setattr(model_module, name, counted(name))
+    hess_mult_cached(state, rng.standard_normal((9, 7, pages)))
+    assert planes == {"fft2": (pages + 1) // 2, "ifft2": (pages + 1) // 2}
+
+
+def test_a_two_page_product_peaks_under_five_planes():
+    m = 127  # prime: the transforms take the Bluestein path
+    state, rng = _uniform_state(m, m, 8)
+    dphi = rng.standard_normal((m, m, 2))
+    hess_mult_cached(state, dphi)  # numpy sets up its transform plans once
+    tracemalloc.start()
+    try:
+        hess_mult_cached(state, dphi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * m * m * np.dtype(np.complex128).itemsize
 
 
 def _agrees(got, want, tol=1e-10):
