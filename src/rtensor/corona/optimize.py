@@ -18,6 +18,7 @@ recomputed at each accepted point from what the model state already holds.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -49,6 +50,9 @@ class TrustRegionOptions:
     verbose: bool = False
 
     def __post_init__(self):
+        # the loop would round a fractional cap up, and never reach an infinite one
+        if not isinstance(self.max_iter, numbers.Integral):
+            raise BoundsError(f"max_iter must be an integer, got {self.max_iter}")
         # a negative cap runs no iteration, and a NaN tolerance never stops the solve
         for name in ("max_iter", "grad_tol", "sse_floor"):
             value = getattr(self, name)

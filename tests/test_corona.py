@@ -410,6 +410,16 @@ def test_options_that_would_disable_the_solver_are_rejected(field, value):
         TrustRegionOptions(**{field: value})
 
 
+@pytest.mark.parametrize("value", [2.5, float("inf"), float("nan")])
+def test_an_iteration_cap_that_is_not_an_integer_is_rejected(value):
+    with pytest.raises(BoundsError, match="^max_iter must be an integer, got "):
+        TrustRegionOptions(max_iter=value)
+
+
+def test_a_numpy_integer_stays_a_valid_cap():
+    assert TrustRegionOptions(max_iter=np.int64(3)).max_iter == 3
+
+
 def test_zero_iterations_stay_a_valid_cap():
     inst = make_instance(SceneConfig(size=32, seed=9))
     report = optimize(inst.aberrated, inst.mask, TrustRegionOptions(max_iter=0))
