@@ -5,11 +5,13 @@ spectrum) after an entrywise phase offset.  Deviant pixels are background
 nonzeros plus negative foreground values; the SSE is the inner product of
 that error image with itself.  With Ye the error image's DFT, the gradient
 is (2/MN) * Im(conj(Yt) o Ye), and the Hessian applied to a phase step D is
-(2/MN) * (Im(conj(Yt) o dYe) - Re(conj(Yt) o Ye) o D), with one pair of DFT
-increments per page.  An ``AberrationState`` keeps the spectrum and the
-curvature term Re(conj(Yt) o Ye), so ``state.at`` moves to another phase
-without transforming the image again, and a Hessian-multiply transforms
-only its increments.
+(2/MN) * (Im(conj(Yt) o dYe) - Re(conj(Yt) o Ye) o D).  Each page's pair of
+DFT increments has a real end, so two pages share one complex transform
+each way, and an odd last page is transformed alone.  An
+``AberrationState`` keeps the spectrum and the curvature term
+Re(conj(Yt) o Ye), so ``state.at`` moves to another phase without
+transforming the image again, and a Hessian-multiply transforms only its
+increments.
 """
 
 from __future__ import annotations
@@ -179,10 +181,12 @@ def _hess_kernel(yt, w, curvature, dphi):
     mn = w.size
     m, n, pages = dphi.shape
     h = pages // 2
+    if pages % 2:  # before f is allocated, so that f is not held through these transforms
+        g = fft2(w[:, :, None] * ifft2(yt[:, :, None] * dphi[:, :, 2 * h:]).imag)
     f = curvature[:, :, None] * dphi
     if pages % 2:
-        g = fft2(w[:, :, None] * ifft2(yt[:, :, None] * dphi[:, :, 2 * h:]).imag)
         f[:, :, 2 * h:] += np.imag(np.conj(yt)[:, :, None] * g)
+        del g
     if h:
         e = np.empty((h, m, n), np.complex128)
         e.real = np.moveaxis(dphi[:, :, h:2 * h], 2, 0)
