@@ -166,12 +166,12 @@ def _hess_kernel(yt, w, curvature, dphi):
     input w o u of fft2.  So pages a and b go through one complex transform
     each way (two real transforms in one, Numerical Recipes 12.3): with
     e = D_b - i D_a, ifft2((yt o e - rev(conj(yt) o e)) / 2) = u_a + i u_b, the
-    real mask keeps the pair packed, and T = fft2(w o (u_a + i u_b)) = G_a + i G_b.
-    With Q = conj(yt) o T - yt o rev(T), Im(conj(yt) o G_a) = Im(Q) / 2 and
-    Im(conj(yt) o G_b) = -Re(Q) / 2.  Page a is one of the first P // 2
-    pages, b the page P // 2 after it; the pairs are batched pages-first,
-    which numpy transforms faster than pages-last.  An odd last page is
-    transformed alone.
+    real mask keeps the pair packed, and T = fft2(w o (u_a + i u_b)) = G_a + i G_b
+    with G_p = fft2(w o u_p).  With Q = conj(yt) o T - yt o rev(T),
+    Im(conj(yt) o G_a) = Im(Q) / 2 and Im(conj(yt) o G_b) = -Re(Q) / 2.  Page
+    a is one of the first P // 2 pages, b the page P // 2 after it; the pairs
+    are batched pages-first, which numpy transforms faster than pages-last.
+    An odd last page is transformed alone.
     """
     dphi = _real("steps", dphi)
     if dphi.ndim == 2:
