@@ -2,9 +2,9 @@
 
 ``rt eval "<expr>"`` evaluates one statement against a fresh environment;
 ``rt run <script>`` executes a statement-per-line script, failing on the
-first error or false assertion.  ``--define name=<expr>`` preloads bindings
-(e.g. ``--define a=rand(1,1,4)``) and ``--json`` emits machine-readable
-records instead of summaries.
+first error or false assertion.  ``--define name=<expr>`` runs that
+assignment first, as a script line would (e.g. ``--define a=rand(1,1,4)``),
+and ``--json`` emits machine-readable records instead of summaries.
 """
 
 from __future__ import annotations
@@ -21,13 +21,10 @@ from .dsl import (
 
 def _apply_defines(env, defines):
     for item in defines or []:
-        name, _, rhs = item.partition("=")
-        if not name or not rhs:
+        kind, node = parse(item)
+        if kind != "assign":
             raise EngineError(f"malformed --define {item!r}, expected name=expr")
-        kind, node = parse(rhs)
-        if kind != "expr":
-            raise EngineError(f"--define value must be an expression: {item!r}")
-        env.tensors[name.strip()] = evaluate(node, env)
+        evaluate(node, env)
 
 
 def _cmd_eval(args, env) -> int:

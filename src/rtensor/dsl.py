@@ -32,10 +32,11 @@ import numpy as np
 
 from . import ewise, lattice, pagewise
 from .errors import (
-    BoundsError, DataFileError, EngineError, ExprSyntaxError, SubscriptKindError, UnknownNameError,
+    BoundsError, DataFileError, EngineError, ExprSyntaxError, IndexArityError, SubscriptKindError,
+    UnknownNameError,
 )
 from .indices import IndexHandle, fresh
-from .tensor import Tensor, _operand, assign, from_array
+from .tensor import _MAX_DEGREE, Tensor, _operand, assign, from_array
 
 __all__ = [
     "parse",
@@ -146,10 +147,12 @@ class Assign:
     value: Any
 
 
+# every function of the language, with the fewest and the most arguments it
+# takes; a call always has one, and cat's first is the index or dimension
 _FUNCTIONS = {
-    "cat", "trace", "diag", "isequal",
-    "abs", "log", "exp", "conj", "step", "round",
-    "ones", "zeros", "rand",
+    "cat": (2, math.inf), "trace": (1, 1), "diag": (1, 1), "isequal": (1, math.inf),
+    "abs": (1, 1), "log": (1, 1), "exp": (1, 1), "conj": (1, 1), "step": (1, 1), "round": (1, 2),
+    "ones": (1, 2 + _MAX_DEGREE), "zeros": (1, 2 + _MAX_DEGREE), "rand": (1, 2 + _MAX_DEGREE),
 }
 # the precedence table of the module docstring, shared by the parser and the printer
 _PREC = {
@@ -443,8 +446,7 @@ def evaluate(node, env: Environment):
             raise SubscriptKindError("subscripts mix index names with numbers")
         subs = [":" if isinstance(s, ColonSub) else _integer(s, "a numeric subscript")
                 for s in node.subs]
-        part = t.slice(subs)  # one dimension left reads as degree one, as ones(n) does
-        return from_array(part.reshape(1, 1, -1) if part.ndim == 1 else part)[0]
+        return _fresh(t.slice(subs))
     if isinstance(node, Unary):
         val = evaluate(node.operand, env)
         return val if node.op == "pos" else ewise.ewise_unary(node.op, val)
@@ -462,13 +464,8 @@ def evaluate(node, env: Environment):
     if isinstance(node, Call):
         return _call(node, env)
     if isinstance(node, Bracket):
-        row_values = []
-        for row in node.rows:
-            items = [evaluate(item, env) for item in row]
-            row_values.append(_operand(items[0]) if len(items) == 1 else pagewise.horzcat(*items))
-        if len(row_values) == 1:
-            return row_values[0]
-        return pagewise.vertcat(*row_values)
+        return pagewise.vertcat(
+            *(pagewise.horzcat(*(evaluate(item, env) for item in row)) for row in node.rows))
     if isinstance(node, Assign):
         value = evaluate(node.value, env)
         target = node.target
@@ -484,43 +481,47 @@ def evaluate(node, env: Environment):
     raise TypeError(f"cannot evaluate {node!r}")
 
 
+def _fresh(arr: np.ndarray) -> Tensor:
+    """``arr`` as a tensor with a fresh true-variant index per dimension past
+    the second; one dimension reads as degree one (1x1xn), as ``ones(n)``."""
+    return from_array(arr.reshape(1, 1, -1) if arr.ndim == 1 else arr)[0]
+
+
 def _call(node: Call, env: Environment):
-    fn = node.fn
+    fn, args = node.fn, node.args
+    fewest, most = _FUNCTIONS[fn]
+    if not fewest <= len(args) <= most:
+        bound, n = ("at most", most) if len(args) > most else ("at least", fewest)
+        raise IndexArityError(f"{fn} takes {bound} {n} argument{'s' * (n != 1)}, got {len(args)}")
     if fn == "cat":
-        where = node.args[0]
-        operands = [evaluate(a, env) for a in node.args[1:]]
+        where = args[0]
+        operands = [evaluate(a, env) for a in args[1:]]
         if isinstance(where, IndexSub):
             return pagewise.concat(_handle(where, env), operands)
         if isinstance(where, NumSub):
             return pagewise.concat(_integer(where, "cat's dimension number") - 1, operands)
         raise SubscriptKindError("cat needs an index name or dimension number first")
     if fn == "isequal":
-        return ewise.equal_all([evaluate(a, env) for a in node.args])
+        return ewise.equal_all([evaluate(a, env) for a in args])
     if fn in ("ones", "zeros", "rand"):
-        dims = tuple(_integer(a, "a dimension size") for a in node.args)
-        shape = dims if len(dims) > 1 else (1, 1, dims[0])  # ones(n) is degree one
+        dims = tuple(_integer(a, "a dimension size") for a in args)
         try:
             if fn == "ones":
-                arr = np.ones(shape)
+                arr = np.ones(dims)
             elif fn == "zeros":
-                arr = np.zeros(shape)
+                arr = np.zeros(dims)
             else:
-                arr = env.rng.uniform(size=shape)
+                arr = env.rng.uniform(size=dims)
         except (MemoryError, ValueError):  # too large to allocate, or to address
             raise BoundsError(
                 f"{fn}({', '.join(map(str, dims))}) is too large to allocate") from None
-        return from_array(arr)[0]  # fresh true-variant indices per tensor dim
-    first, *rest = [evaluate(a, env) for a in node.args]
+        return _fresh(arr)
+    first, *rest = [evaluate(a, env) for a in args]
     if fn == "trace":
         return pagewise.page_trace(first)
     if fn == "diag":
         return pagewise.page_diag(first)
-    if fn == "round":
-        p = _operand(rest[0]).entries if rest else None
-        return ewise.ewise_unary("round", first, p)
-    if fn in ("abs", "log", "exp", "conj", "step"):
-        return ewise.ewise_unary(fn, first)
-    raise UnknownNameError(f"unknown function {fn!r}")
+    return ewise.ewise_unary(fn, first, *(_operand(p).entries for p in rest))
 
 
 # -- scripts ---------------------------------------------------------------------

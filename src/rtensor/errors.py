@@ -16,7 +16,7 @@ class EngineError(Exception):
 
 
 class IndexArityError(EngineError):
-    """Fewer index subscripts than the stored array demands."""
+    """Too few or too many index subscripts, dimensions, operands or arguments."""
 
 
 class SubscriptKindError(EngineError):

@@ -454,6 +454,35 @@ def test_a_binding_named_like_an_engine_index_keeps_its_name_in_errors(tmp_path,
     assert capsys.readouterr().err == f"error: unknown name 'i{n}'\n"
 
 
+@pytest.mark.parametrize("define, text, code, line", [
+    ("t=isequal(1,1)", "t(i)", 0, 2),
+    ("t=isequal(1,1)", "t(1)", 0, 2),
+    ("1x=ones(3)", "x", 1, 1),  # a syntax error, not a binding named 1x
+])
+def test_a_define_binds_as_the_same_line_of_a_script_does(tmp_path, capsys, define, text, code, line):
+    script = tmp_path / "s.rts"
+    script.write_text(f"{define}\n{text}\n")
+    assert rt_main(["run", str(script)]) == code
+    ran = capsys.readouterr().out.splitlines()[-1]
+    assert rt_main(["eval", text, "--define", define]) == code
+    out = capsys.readouterr()
+    printed = out.err if code else out.out
+    assert printed.startswith("error: ") == bool(code)
+    assert ran == f"{script}:{line}: {printed.rstrip()}"
+
+
+# cat and isequal take any number of arguments
+@pytest.mark.parametrize("fn, most", [
+    *((fn, 1) for fn in ("trace", "diag", "abs", "log", "exp", "conj", "step")),
+    ("round", 2), ("ones", 64), ("zeros", 64), ("rand", 64),
+])
+def test_a_function_given_one_argument_too_many_is_reported(capsys, fn, most):
+    # the extra argument is unbound: the count is checked before any argument
+    assert rt_main(["eval", f"{fn}({'1,' * most}nope)"]) == 1
+    takes = f"{most} argument{'s' * (most > 1)}"
+    assert capsys.readouterr().err == f"error: {fn} takes at most {takes}, got {most + 1}\n"
+
+
 @pytest.mark.parametrize("case", ["missing", "directory", "not utf-8"])
 def test_cli_run_on_a_script_it_cannot_read_is_reported(tmp_path, capsys, case):
     path = tmp_path / "script.rts"

@@ -100,10 +100,6 @@ def _run(statements):
             _holds(value)
 
 
-_FOUND = "a concatenation with no operands raises an untyped ValueError"
-
-
-@pytest.mark.xfail(strict=True, reason=_FOUND)
 @settings(max_examples=300, deadline=None)
 @given(script=_SCRIPTS)
 def test_every_statement_evaluates_or_raises_a_typed_error(script):
@@ -111,8 +107,8 @@ def test_every_statement_evaluates_or_raises_a_typed_error(script):
 
 
 @pytest.mark.parametrize("text", [
-    pytest.param("cat(i)", marks=pytest.mark.xfail(strict=True, reason=_FOUND)),
-    pytest.param("cat(1)", marks=pytest.mark.xfail(strict=True, reason=_FOUND)),
+    "cat(i)",
+    "cat(1)",
 ])
 def test_a_statement_the_grammar_property_found(text):
     _run([text])
