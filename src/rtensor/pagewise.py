@@ -89,6 +89,8 @@ def concat(where, operands) -> Tensor:
     differ across operands as with the index form.
     """
     ops = [_operand(op) for op in operands]
+    if not ops:
+        raise IndexArityError("concatenation needs at least one operand")
     union = list(dict.fromkeys(h.id for op in ops for h in op.indices))  # as _align's
     if isinstance(where, IndexHandle):
         for op in ops:

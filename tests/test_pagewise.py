@@ -233,3 +233,11 @@ def test_concat_before_the_first_dimension():
     for operands in ([vec([1, 2], i), vec([3, 4], i)], [vec([1, 2], i)]):
         with pytest.raises(IndexArityError, match="axis 0 lies before"):
             concat(-1, operands)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: concat("rows", []), lambda: concat(2, []), lambda: concat(fresh(), []), horzcat, vertcat,
+], ids=["rows", "axis", "index", "horzcat", "vertcat"])
+def test_concat_with_no_operands_is_reported(call):
+    with pytest.raises(IndexArityError, match="needs at least one operand"):
+        call()
