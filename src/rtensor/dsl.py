@@ -446,7 +446,7 @@ def evaluate(node, env: Environment):
             raise SubscriptKindError("subscripts mix index names with numbers")
         subs = [":" if isinstance(s, ColonSub) else _integer(s, "a numeric subscript")
                 for s in node.subs]
-        return _fresh(t.slice(subs))
+        return _fresh_tensor(t.slice(subs))
     if isinstance(node, Unary):
         val = evaluate(node.operand, env)
         return val if node.op == "pos" else ewise.ewise_unary(node.op, val)
@@ -481,7 +481,7 @@ def evaluate(node, env: Environment):
     raise TypeError(f"cannot evaluate {node!r}")
 
 
-def _fresh(arr: np.ndarray) -> Tensor:
+def _fresh_tensor(arr: np.ndarray) -> Tensor:
     """``arr`` as a tensor with a fresh true-variant index per dimension past
     the second; one dimension reads as degree one (1x1xn), as ``ones(n)``."""
     return from_array(arr.reshape(1, 1, -1) if arr.ndim == 1 else arr)[0]
@@ -515,7 +515,7 @@ def _call(node: Call, env: Environment):
         except (MemoryError, ValueError):  # too large to allocate, or to address
             raise BoundsError(
                 f"{fn}({', '.join(map(str, dims))}) is too large to allocate") from None
-        return _fresh(arr)
+        return _fresh_tensor(arr)
     first, *rest = [evaluate(a, env) for a in args]
     if fn == "trace":
         return pagewise.page_trace(first)
