@@ -301,7 +301,7 @@ def test_a_product_transforms_each_pair_of_pages_once(monkeypatch, pages):
 
 
 def test_a_two_page_product_peaks_under_five_planes():
-    m = 127  # prime: the transforms take the Bluestein path
+    m = 127  # prime: a transform length with no small factors
     state, rng = _uniform_state(m, m, 8)
     dphi = rng.standard_normal((m, m, 2))
     hess_mult_cached(state, dphi)  # numpy sets up its transform plans once
