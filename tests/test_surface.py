@@ -24,11 +24,14 @@ def test_array_helpers_stay_out_of_the_package_namespace():
 
 
 def test_every_public_name_is_used_outside_the_tests():
-    """Each name in ``rtensor.__all__`` is referenced under src/, scripts/ or
-    perfbench/, outside its own definition and outside any test."""
+    """Each name in ``rtensor.__all__`` and ``rtensor.corona.__all__`` is
+    referenced under src/, scripts/ or perfbench/, outside its own definition
+    and outside any test.  ``dft_operator`` is exempt: it is the reference the
+    FFT tests compare against."""
     import ast
 
     import rtensor
+    import rtensor.corona
 
     used = set()
 
@@ -49,7 +52,28 @@ def test_every_public_name_is_used_outside_the_tests():
         for path in (root / top).rglob("*.py"):
             if "tests" not in path.relative_to(root).parts:
                 visit(ast.parse(path.read_text()), frozenset())
-    assert [name for name in rtensor.__all__ if name not in used] == []
+    public = [*rtensor.__all__, *(n for n in rtensor.corona.__all__ if n != "dft_operator")]
+    assert [name for name in public if name not in used] == []
+
+
+@pytest.mark.xfail(reason="OptReport.radii has no reader outside the tests")
+def test_every_report_field_is_read_outside_the_tests():
+    """Each field of ``OptReport`` is read as an attribute under src/, scripts/
+    or perfbench/, outside any test; a field nothing reads is work the solver
+    does for no caller."""
+    import ast
+    import dataclasses
+
+    from rtensor.corona import OptReport
+
+    read = set()
+    root = Path(__file__).resolve().parents[1]
+    for top in ("src", "scripts", "perfbench"):
+        for path in (root / top).rglob("*.py"):
+            if "tests" not in path.relative_to(root).parts:
+                read.update(node.attr for node in ast.walk(ast.parse(path.read_text()))
+                            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    assert [f.name for f in dataclasses.fields(OptReport) if f.name not in read] == []
 
 
 def test_every_config_field_is_set_by_a_caller_outside_the_tests():
