@@ -5,7 +5,6 @@ from .model import AberrationState, hess_mult, hess_mult_cached, sse, state_at
 from .optimize import OptReport, TrustRegionOptions, optimize
 from .scene import (
     Instance,
-    PlanetSpec,
     SceneConfig,
     make_aberration,
     make_ground_truth,
@@ -26,7 +25,6 @@ __all__ = [
     "TrustRegionOptions",
     "OptReport",
     "SceneConfig",
-    "PlanetSpec",
     "Instance",
     "make_source",
     "make_ground_truth",

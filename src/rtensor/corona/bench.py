@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import BoundsError
-from .fourier import fft2, ifft2
 from .model import hess_mult, sse
-from .scene import _R_IN_FRAC, _R_OUT_FRAC, make_aberration, make_ground_truth, make_source
+from .scene import SceneConfig, make_instance
 
 __all__ = ["BenchRow", "benchmark", "write_bench_csv"]
 
@@ -56,18 +55,17 @@ def _peak_bytes(fn):
 
 
 def benchmark(sizes, reps=3) -> list[BenchRow]:
-    """Measure sse, sse+gradient, and hess_mult(P=2) at each (M, N) format."""
+    """Measure sse, sse+gradient, and hess_mult(P=2) on the demo scene
+    (``make_instance``, seed 0) of each square size."""
     if reps < 1:
         raise BoundsError(f"reps must be at least 1, got {reps}")
     rows = []
-    for m, n in sizes:
-        source = make_source(m, n)
-        gt, wb = make_ground_truth(source, _R_IN_FRAC * min(m, n), _R_OUT_FRAC * min(m, n))
-        phi_true = make_aberration(m, n)
-        xa = np.real(ifft2(fft2(gt) * np.exp(1j * phi_true)))
-        phi = np.zeros((m, n))
+    for m in sizes:
+        inst = make_instance(SceneConfig(size=m))
+        xa, wb = inst.aberrated, inst.mask
+        phi = np.zeros((m, m))
         rng = np.random.default_rng(0)
-        dphi = rng.uniform(-0.1, 0.1, (m, n, 2))
+        dphi = rng.uniform(-0.1, 0.1, (m, m, 2))
         _, _, xt = sse(phi, xa, wb)
 
         ops = {
@@ -76,7 +74,7 @@ def benchmark(sizes, reps=3) -> list[BenchRow]:
             "hmf": lambda: hess_mult(xt, dphi, wb),
         }
         secs = {op: _median_time(fn, reps) for op, fn in ops.items()}
-        rows += [BenchRow(m, n, op, secs[op], _peak_bytes(fn)) for op, fn in ops.items()]
+        rows += [BenchRow(m, m, op, secs[op], _peak_bytes(fn)) for op, fn in ops.items()]
     return rows
 
 

@@ -83,7 +83,7 @@ def _cmd_solve(args):
 
 
 def _square_sizes(text):
-    return [(int(s), int(s)) for s in text.split(",")]
+    return [int(s) for s in text.split(",")]
 
 
 def _cmd_bench(args):
@@ -95,7 +95,7 @@ def _cmd_bench(args):
         f"{'size':>6} {'sse':>10} {'sse+grad':>10} {'hmf P=2':>10} {'grad/sse':>9} {'hmf/grad':>9}"
         f" {'sse B':>11} {'sse+grad B':>11} {'hmf B':>11}"
     )
-    for m, _ in args.sizes:
+    for m in args.sizes:
         s, g, h = by[(m, "sse")], by[(m, "sse_grad")], by[(m, "hmf")]
         print(
             f"{m:>6} {s.secs * 1e3:>8.3f}ms {g.secs * 1e3:>8.3f}ms {h.secs * 1e3:>8.3f}ms "

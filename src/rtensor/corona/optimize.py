@@ -63,10 +63,9 @@ class TrustRegionOptions:
 @dataclass
 class OptReport:
     """The solver's result.  ``sse_trajectory``, ``grad_norms`` and
-    ``wall_times`` hold the start and each accepted step; ``radii`` the start
-    and every iteration.  Radii, like the radius ``verbose`` prints, are in
-    the scaled norm the preconditioned CG works in; ``grad_norms`` are of the
-    unscaled gradient."""
+    ``wall_times`` hold the start and each accepted step.  ``grad_norms`` are
+    of the unscaled gradient; the radius ``verbose`` prints is in the scaled
+    norm the preconditioned CG works in."""
 
     iterations: int
     sse_trajectory: list[float]
@@ -76,7 +75,6 @@ class OptReport:
     corrected: np.ndarray
     stop_reason: str
     cg_iterations: list[int] = field(default_factory=list)
-    radii: list[float] = field(default_factory=list)
 
 
 def _steihaug(grad, hv, radius, tol, max_iter):
@@ -151,7 +149,6 @@ def optimize(xa, wb, options: TrustRegionOptions | None = None) -> OptReport:
     grad_norms = [float(np.abs(state.grad).max())]
     wall = [0.0]
     cg_iters: list[int] = []
-    radii = [radius]
     stop = "max_iter"
     start = time.perf_counter()
     it = 0
@@ -201,7 +198,6 @@ def optimize(xa, wb, options: TrustRegionOptions | None = None) -> OptReport:
             wall.append(time.perf_counter() - start)
         del step, trial  # a rejected trial would otherwise live through the next CG
         it += 1
-        radii.append(radius)
         if opts.verbose:
             print(
                 f"iter {it:3d}  sse {state.e:.6e}  |g| {grad_norms[-1]:.3e}  "
@@ -220,5 +216,4 @@ def optimize(xa, wb, options: TrustRegionOptions | None = None) -> OptReport:
         corrected=state.xt,
         stop_reason=stop,
         cg_iterations=cg_iters,
-        radii=radii,
     )

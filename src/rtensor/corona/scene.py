@@ -18,7 +18,6 @@ from ..errors import SpecError
 from .fourier import fft2, ifft2
 
 __all__ = [
-    "PlanetSpec",
     "SceneConfig",
     "Instance",
     "make_source",
@@ -38,34 +37,15 @@ _PLANET_AMPLITUDE = 0.5
 
 
 @dataclass(frozen=True)
-class PlanetSpec:
-    """A filled disc added to the annular foreground; offsets from center."""
-
-    drow: float
-    dcol: float
-    radius: float
-
-
-@dataclass(frozen=True)
 class SceneConfig:
     size: int = 401
     seed: int = 0
 
 
-def _planets(size: int) -> tuple[PlanetSpec, PlanetSpec]:
-    r = _PLANET_OFFSET_FRAC * size
-    pr = max(1.5, _PLANET_RADIUS_FRAC * size)
-    a = np.deg2rad(30.0)
-    return (
-        PlanetSpec(r * np.sin(a), r * np.cos(a), pr),
-        PlanetSpec(-r * np.sin(a), -r * np.cos(a), pr),
-    )
-
-
-def _radius_grid(m: int, n: int) -> np.ndarray:
-    cy, cx = m // 2, n // 2
-    yy = np.arange(m)[:, None] - cy
-    xx = np.arange(n)[None, :] - cx
+def _radius_grid(m: int, n: int, drow: float = 0.0, dcol: float = 0.0) -> np.ndarray:
+    """Distance of each pixel from the image center moved by ``(drow, dcol)``."""
+    yy = np.arange(m)[:, None] - (m // 2 + drow)
+    xx = np.arange(n)[None, :] - (n // 2 + dcol)
     return np.hypot(yy, xx)
 
 
@@ -80,27 +60,25 @@ def make_source(m: int, n: int) -> np.ndarray:
     return psf / psf.max()
 
 
-def make_ground_truth(source, r_in, r_out, planets=()):
-    """Square root of the source, occulted by an annular mask, with planets.
+def make_ground_truth(source):
+    """Square root of the source, occulted by an annular mask, with two planets.
 
-    Returns ``(ground_truth, background_mask)``.  The mask is True inside
-    radius ``r_in`` and outside ``r_out``; each planet disc must lie entirely
-    inside the open annulus.
+    Returns ``(ground_truth, background_mask)``.  With ``s`` the smaller side,
+    the mask is True inside radius ``0.08*s`` and outside ``0.375*s``.  The
+    planets are discs of radius ``max(1.5, 0.018*s)`` centered ``0.22*s`` from
+    the image center at 30 and 210 degrees, so at every size ``make_source``
+    accepts they lie inside the open annulus.
     """
     m, n = source.shape
-    if not 0 < r_in < r_out <= min(m, n) / 2:
-        raise SpecError(f"invalid annulus radii {r_in}, {r_out} for {m}x{n}")
+    s = min(m, n)
     r = _radius_grid(m, n)
-    wb = (r < r_in) | (r > r_out)
+    wb = (r < _R_IN_FRAC * s) | (r > _R_OUT_FRAC * s)
     gt = np.sqrt(source)
     gt[wb] = 0.0
-    cy, cx = m // 2, n // 2
-    for p in planets:
-        yy = np.arange(m)[:, None] - (cy + p.drow)
-        xx = np.arange(n)[None, :] - (cx + p.dcol)
-        disc = np.hypot(yy, xx) <= p.radius
-        if np.any(disc & wb) or not np.any(disc):
-            raise SpecError(f"planet at ({p.drow}, {p.dcol}) leaves the annulus")
+    a = np.deg2rad(30.0)
+    drow, dcol = _PLANET_OFFSET_FRAC * s * np.sin(a), _PLANET_OFFSET_FRAC * s * np.cos(a)
+    for sign in (1.0, -1.0):
+        disc = _radius_grid(m, n, sign * drow, sign * dcol) <= max(1.5, _PLANET_RADIUS_FRAC * s)
         gt[disc] += _PLANET_AMPLITUDE
     return gt, wb
 
@@ -139,9 +117,7 @@ class Instance:
 def make_instance(config: SceneConfig) -> Instance:
     m = n = config.size
     source = make_source(m, n)
-    gt, wb = make_ground_truth(
-        source, _R_IN_FRAC * config.size, _R_OUT_FRAC * config.size, _planets(config.size)
-    )
+    gt, wb = make_ground_truth(source)
     phi = make_aberration(m, n, config.seed)
     aberrated = np.real(ifft2(fft2(gt) * np.exp(1j * phi)))
     return Instance(source, gt, wb, phi, aberrated)

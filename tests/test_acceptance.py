@@ -608,18 +608,18 @@ def test_criterion_7_hessian_multiply_check():
 
 
 def test_criterion_8_scaling():
-    sizes = [(64, 64), (128, 128), (256, 256), (512, 512)]
+    sizes = [64, 128, 256, 512]
     rows = benchmark(sizes, reps=5)
     by = {(r.m, r.op): r for r in rows}
     ratios_grad = []
     ratios_hmf = []
-    for m, _ in sizes:
+    for m in sizes:
         ratios_grad.append(by[(m, "sse_grad")].secs / by[(m, "sse")].secs)
         ratios_hmf.append(by[(m, "hmf")].secs / by[(m, "sse_grad")].secs)
     exps = []
-    mns = [m * n for m, n in sizes]
+    mns = [m * m for m in sizes]
     for op in ("sse", "sse_grad", "hmf"):
-        ys = [by[(m, op)].bytes for m, _ in sizes]
+        ys = [by[(m, op)].bytes for m in sizes]
         exps.append(float(np.polyfit(np.log(mns), np.log(ys), 1)[0]))
     ok = (
         max(ratios_grad) <= 4.0

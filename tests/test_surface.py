@@ -56,7 +56,6 @@ def test_every_public_name_is_used_outside_the_tests():
     assert [name for name in public if name not in used] == []
 
 
-@pytest.mark.xfail(reason="OptReport.radii has no reader outside the tests")
 def test_every_report_field_is_read_outside_the_tests():
     """Each field of ``OptReport`` is read as an attribute under src/, scripts/
     or perfbench/, outside any test; a field nothing reads is work the solver
