@@ -379,7 +379,8 @@ def _fmt_sub(s) -> str:
 
 
 def _num_text(v: float) -> str:
-    return str(int(v)) if v == int(v) else repr(v)
+    """The shortest text that lexes back to ``v``: ``2``, ``0.5``, ``1e+300``."""
+    return repr(v).removesuffix(".0")
 
 
 # -- environment and evaluation ------------------------------------------------
@@ -615,12 +616,12 @@ def run_script(path, env: Environment | None = None, emit=print, json_records=Fa
     except UnicodeDecodeError as exc:
         raise DataFileError(f"not UTF-8 text: {exc.reason} at byte {exc.start}", path) from exc
     for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
+        code = raw.split("#", 1)[0].rstrip()  # indentation kept: error columns are the file's
+        if not code.strip():
             continue
         report.statements += 1
         try:
-            kind, node = parse(stripped)
+            kind, node = parse(code)
             value = evaluate(node, env)
         except EngineError as exc:
             report.failures.append(f"{path}:{lineno}: error: {_error_text(exc, env)}")
@@ -630,7 +631,7 @@ def run_script(path, env: Environment | None = None, emit=print, json_records=Fa
             if _truthy(value):
                 emit(f"{path}:{lineno}: assert ok")
             else:
-                report.failures.append(f"{path}:{lineno}: assert failed: {stripped}")
+                report.failures.append(f"{path}:{lineno}: assert failed: {code.strip()}")
                 emit(report.failures[-1])
                 break
         elif json_records:

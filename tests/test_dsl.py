@@ -198,6 +198,14 @@ def test_parse_print_roundtrip():
         assert kind1 == kind2 and node1 == node2, text
 
 
+@pytest.mark.parametrize("text, printed", [
+    ("1e300", "1e+300"), ("1e16", "1e+16"), ("2", "2"), ("2.50", "2.5"), ("0.5", "0.5"),
+    ("a(3)", "a(3)"),
+])
+def test_print_ast_writes_a_number_as_its_shortest_text(text, printed):
+    assert print_ast(parse(text)[1]) == printed
+
+
 _NAMES = st.sampled_from(["a", "b2", "x_y", "Q"])
 _NUMBERS = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
 _SUBS = st.one_of(
@@ -361,6 +369,16 @@ def test_run_script_failing_assert_stops(tmp_path):
     path.write_text("assert isequal(rand(1,1,2), rand(1,1,2))\nassert 1 == 1\n")
     report = run_script(path, emit=lambda *_: None)
     assert not report.ok and report.statements == 1
+
+
+def test_run_script_reports_columns_as_the_file_has_them(tmp_path):
+    path = tmp_path / "indented.rts"
+    path.write_text("    x = (1  # unclosed\n")
+    report = run_script(path, emit=lambda *_: None)
+    assert report.failures == [f"{path}:1: error: expected ')', found '' (at 1:11)"]
+    path.write_text("  assert 1 == 2  # false\n")
+    report = run_script(path, emit=lambda *_: None)
+    assert report.failures == [f"{path}:1: assert failed: assert 1 == 2"]
 
 
 # -- command line --------------------------------------------------------------------
