@@ -244,7 +244,8 @@ def selector_concat(ops, where):
     """Concatenation built from the piecewise selector construction.
 
     ``where`` is the id of the concatenation index, or ``"rows"``/``"cols"``
-    for a matrix axis.
+    for a matrix axis.  An identity held in both variants is summed out after
+    joining, booleans summing as float64.
     """
     union = []
     seen = set()
@@ -294,7 +295,15 @@ def selector_concat(ops, where):
                     rr, cc = r, c
                 entries, indices = ops[k]
                 out[(r, c) + vals] = _value_at(entries, indices, at, rr, cc)
-    return out, union
+    variants = {}
+    for _, indices in ops:
+        for h in indices:
+            variants.setdefault(h.id, set()).add(h.variant)
+    mixed = [t for t, h in enumerate(union) if len(variants[h.id]) > 1]
+    if mixed:
+        out = out.sum(axis=tuple(t + 2 for t in mixed),
+                      dtype=np.float64 if out.dtype == bool else None)
+    return out, [h for t, h in enumerate(union) if t not in mixed]
 
 
 def azimuthal_profile(image):

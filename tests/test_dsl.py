@@ -315,6 +315,15 @@ def test_eval_mixed_subscripts_rejected():
         evaluate(parse("a(i,1)")[1], env)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("a(1) = b", "assignment subscripts must be index names"),
+    ("cat(:, a, a)", "cat needs an index name or dimension number first"),
+])
+def test_a_subscript_of_the_wrong_kind_is_rejected(text, message):
+    with pytest.raises(SubscriptKindError, match=message):
+        evaluate(parse(text)[1], env_with_vectors())
+
+
 def test_eval_rand_seed_reproducible():
     e1 = Environment.with_seed(42)
     e2 = Environment.with_seed(42)

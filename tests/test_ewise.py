@@ -403,6 +403,11 @@ def test_equal_all_variant_conflict():
     assert not equal_all([vec([1, 2], k), vec([1, 2], ~k)])
 
 
+def test_equal_all_is_false_over_sizes_that_do_not_align():
+    k = fresh()
+    assert not equal_all([vec([1, 2], k), vec([1, 2, 3], k)])
+
+
 def test_equal_all_rejects_a_lone_malformed_operand():
     i = fresh()
     with pytest.raises(OperandKindError):

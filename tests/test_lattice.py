@@ -234,6 +234,12 @@ def test_product_page_size_mismatch():
         product(vec([1, 2], k), vec([1, 2, 3], k))
 
 
+def test_product_inner_size_mismatch():
+    k = fresh()
+    with pytest.raises(DimMismatchError, match="inner index"):
+        product(vec([1, 2], k), vec([1, 2, 3], ~k))
+
+
 def test_product_broadcasts_singleton_pages():
     # an index addressing a trailing singleton replicates across the pages
     k = fresh()
@@ -601,6 +607,14 @@ def test_underdetermined_rejected():
     b = np.random.rand(1, 1, 3)
     with pytest.raises(DimMismatchError):
         solve_left(with_indices(A, [l, lp]), vec(b.ravel(), lp))
+
+
+def test_division_rejects_unequal_equation_counts():
+    # the matrix rows (left) or columns (right) are the equations; no index checks them
+    with pytest.raises(DimMismatchError, match="equation counts disagree: 3 vs 2"):
+        solve_left(np.eye(3), np.ones((2, 1)))
+    with pytest.raises(DimMismatchError, match="equation counts disagree: 3 vs 2"):
+        solve_right(np.ones((1, 2)), np.eye(3))
 
 
 # -- CP key step --------------------------------------------------------------------
