@@ -83,7 +83,7 @@ def make_ground_truth(source):
     return gt, wb
 
 
-def make_aberration(m: int, n: int, seed: int = 0) -> np.ndarray:
+def make_aberration(m: int, n: int, seed: int) -> np.ndarray:
     """Random pupil-plane phase obeying Phi[m,n] = -Phi[-m mod M, -n mod N].
 
     Free entries draw from uniform(-pi, pi); self-paired entries (the DC term
