@@ -462,7 +462,6 @@ def test_optimize_shrinks_radius_on_nan_ratio(monkeypatch):
     monkeypatch.setattr(AberrationState, "at", nan_trials)
     report = optimize(inst.aberrated, inst.mask, TrustRegionOptions(max_iter=200))
     assert report.stop_reason == "radius_collapse"
-    assert report.iterations < 40
     assert len(report.sse_trajectory) == 1  # no NaN step was accepted
     # 0.25**21 >= 1e-13 > 0.25**22, so the radius shrank at every iteration
     assert report.iterations == 22
