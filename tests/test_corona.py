@@ -22,7 +22,8 @@ from rtensor.corona import (
     hess_mult_cached,
 )
 from rtensor.errors import BoundsError, DimMismatchError, SpecError
-from rtensor.corona.optimize import _steihaug
+from rtensor.corona.model import _rev
+from rtensor.corona.optimize import _DIAG_FLOOR, _jacobi_scaling, _steihaug
 
 from oracles import azimuthal_profile, count_local_minima, rt_model
 
@@ -392,7 +393,7 @@ def test_optimize_reduces_sse_on_small_instance():
 
 
 def test_criterion_9_instance_reaches_its_floor_in_few_hessian_products():
-    # unpreconditioned CG spends 953 products here; the scaled one about 130
+    # unpreconditioned CG spends 953 products here, and CG scaled by the odd-subspace diagonal 95
     inst = make_instance(SceneConfig(size=64, seed=7))
     floor = 1e-3 * sse(np.zeros(inst.aberrated.shape), inst.aberrated, inst.mask)[0]
     report = optimize(inst.aberrated, inst.mask, TrustRegionOptions(max_iter=200, sse_floor=floor))
@@ -427,27 +428,49 @@ def test_zero_iterations_stay_a_valid_cap():
 
 
 def test_solve_transforms_the_image_once(monkeypatch):
-    model_module = sys.modules[state_at.__module__]
     calls = {"fft2": 0, "ifft2": 0}
 
-    def counted(name):
-        transform = getattr(model_module, name)
+    def counted(module, name):
+        transform = getattr(module, name)
 
         def count(x):
             calls[name] += 1
             return transform(x)
 
-        return count
+        monkeypatch.setattr(module, name, count)
 
-    for name in calls:
-        monkeypatch.setattr(model_module, name, counted(name))
+    for module in (sys.modules[state_at.__module__], sys.modules[_steihaug.__module__]):
+        for name in calls:
+            if hasattr(module, name):
+                counted(module, name)
     inst = make_instance(SceneConfig(size=32, seed=9))
     report = optimize(inst.aberrated, inst.mask, TrustRegionOptions(max_iter=15))
     evaluations = 1 + report.iterations  # the start and one trial per iteration
     products = sum(report.cg_iterations)  # one Hessian-vector product per CG iteration
+    scalings = len(report.sse_trajectory)  # one transform of the mask at the start and each accepted point
     assert report.iterations == 15 and products > 0
-    assert calls["fft2"] == 1 + evaluations + products
+    assert calls["fft2"] == 1 + evaluations + scalings + products
     assert calls["ifft2"] == evaluations + products
+
+
+def test_jacobi_scaling_is_the_exact_curvature_of_the_odd_subspace():
+    inst = make_instance(SceneConfig(size=16, seed=2))
+    phi = optimize(inst.aberrated, inst.mask, TrustRegionOptions(max_iter=3)).phi
+    phi = 0.5 * (phi - _rev(phi))  # drop the rounding drift out of the odd subspace
+    state = state_at(phi, inst.aberrated, inst.mask)
+    s = np.empty(phi.shape)
+    _jacobi_scaling(state, s)
+    mn = phi.size
+    steps = np.eye(mn).reshape(mn, *phi.shape)
+    steps -= _rev(steps)  # step k is e_k - e_-k, indices mod (M, N)
+    paired = steps.any(axis=(1, 2))  # a self-paired k, -k = k, has no odd direction
+    v = steps[paired].reshape(-1, mn)
+    hv = hess_mult_cached(state, np.moveaxis(steps[paired], 0, 2))
+    curvature = np.einsum("pk,kp->p", v, hv) / (v * v).sum(1)
+    d = 1.0 / s.ravel()[paired] ** 2
+    above = d > _DIAG_FLOOR * (1.0 / s**2).max() * (1 + 1e-9)  # rounding lifts a floored entry a little
+    assert above.sum() > paired.sum() // 2
+    np.testing.assert_allclose(d[above], np.abs(curvature[above]), rtol=1e-12, atol=0)
 
 
 def test_optimize_shrinks_radius_on_nan_ratio(monkeypatch):
