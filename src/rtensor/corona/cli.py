@@ -90,15 +90,13 @@ def _cmd_bench(args):
     rows = benchmark(args.sizes, reps=args.reps)
     with _writing(Path(args.out)):
         write_bench_csv(rows, args.out)
-    by = {(r.m, r.op): r for r in rows}
     print(
         f"{'size':>6} {'sse':>10} {'sse+grad':>10} {'hmf P=2':>10} {'grad/sse':>9} {'hmf/grad':>9}"
         f" {'sse B':>11} {'sse+grad B':>11} {'hmf B':>11}"
     )
-    for m in args.sizes:
-        s, g, h = by[(m, "sse")], by[(m, "sse_grad")], by[(m, "hmf")]
+    for s, g, h in zip(rows[0::3], rows[1::3], rows[2::3]):  # each size's sse, sse_grad, hmf in run order
         print(
-            f"{m:>6} {s.secs * 1e3:>8.3f}ms {g.secs * 1e3:>8.3f}ms {h.secs * 1e3:>8.3f}ms "
+            f"{s.m:>6} {s.secs * 1e3:>8.3f}ms {g.secs * 1e3:>8.3f}ms {h.secs * 1e3:>8.3f}ms "
             f"{g.secs / s.secs:>9.2f} {h.secs / g.secs:>9.2f} {s.bytes:>11d} {g.bytes:>11d} {h.bytes:>11d}"
         )
     print(f"wrote {args.out} (bytes: tracemalloc peak per call)")

@@ -84,8 +84,16 @@ def write_csv(path, matrix):
 
 def read_csv(path) -> np.ndarray:
     try:
-        return np.atleast_2d(np.loadtxt(path, delimiter=","))
+        with open(path) as f:
+            lines = f.read().splitlines()
     except OSError as exc:
         raise DataFileError(f"cannot read: {exc.strerror or 'not found'}", path) from exc
+    except ValueError as exc:  # bytes the text encoding cannot decode
+        raise DataFileError(f"malformed CSV: {exc}", path) from exc
+    # numpy would only warn on these, and return a 1 x 0 matrix
+    if not any(line.partition("#")[0].strip() for line in lines):
+        raise DataFileError("no data", path)
+    try:
+        return np.atleast_2d(np.loadtxt(lines, delimiter=","))
     except ValueError as exc:
         raise DataFileError(f"malformed CSV: {exc}", path) from exc

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rtensor.corona.cli as corona_cli
+from rtensor.corona.bench import BenchRow
 from rtensor.corona.cli import main as corona_main
 from rtensor.corona.pgm import read_csv, read_mask, read_pgm, write_csv, write_mask, write_pgm
 from rtensor.errors import DataFileError, DimMismatchError, SpecError
@@ -88,6 +89,21 @@ def test_bench_csv(tmp_path):
         assert 0 < nbytes[(16, op)] < nbytes[(24, op)]
 
 
+def test_bench_prints_one_row_per_measured_size_in_run_order(tmp_path, capsys, monkeypatch):
+    rows = [BenchRow(16, 16, op, 1e-3 * k * j, 100 * k * j)
+            for k in (1, 2) for op, j in (("sse", 1), ("sse_grad", 2), ("hmf", 4))]
+    monkeypatch.setattr(corona_cli, "benchmark", lambda sizes, reps: rows)
+    out = tmp_path / "bench.csv"
+    assert corona_main(["bench", "--sizes", "16,16", "--out", str(out)]) == 0
+    table = [line.split() for line in capsys.readouterr().out.splitlines()[1:-1]]
+    with open(out) as f:
+        written = list(csv.reader(f))[1:]
+    assert len(table) == 2 and len(written) == 6
+    for line, k in zip(table, (1, 2)):
+        assert line[0] == "16" and line[-3:] == [str(100 * k), str(200 * k), str(400 * k)]
+        assert [int(r[4]) for r in written[3 * k - 3:3 * k]] == [100 * k, 200 * k, 400 * k]
+
+
 def _pgm_blob(tmp_path):
     path = tmp_path / "img.pgm"
     write_pgm(path, np.full((2, 3), 0.5))
@@ -120,6 +136,24 @@ def test_read_csv_malformed_carries_the_path(tmp_path, text):
     with pytest.raises(DataFileError) as info:
         read_csv(path)
     assert info.value.path == path
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["", "\n  \n", "# a comment\n", "  # two\n# comments"])
+def test_read_csv_with_no_data_is_reported_without_a_warning(tmp_path, text):
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    with pytest.raises(DataFileError, match="no data$") as info:
+        read_csv(path)
+    assert info.value.path == path
+
+
+def test_solve_reports_an_empty_csv_with_its_path(tmp_path, capsys):
+    scene = tmp_path / "scene"
+    assert corona_main(["synth", "--size", "16", "--out", str(scene)]) == 0
+    (scene / "aberrated.csv").write_text("# no rows\n")
+    assert corona_main(["solve", "--in", str(scene), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {scene / 'aberrated.csv'}: no data\n"
 
 
 @pytest.mark.parametrize("read", [read_pgm, read_csv])
