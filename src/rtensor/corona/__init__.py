@@ -1,6 +1,6 @@
 """Coronagraph phase-aberration correction demo built on 2D FFTs."""
 
-from .fourier import dft_operator, fft2, ifft2
+from .fourier import fft2, ifft2
 from .model import AberrationState, hess_mult, hess_mult_cached, sse, state_at
 from .optimize import OptReport, TrustRegionOptions, optimize
 from .scene import (
@@ -13,7 +13,6 @@ from .scene import (
 )
 
 __all__ = [
-    "dft_operator",
     "fft2",
     "ifft2",
     "sse",

@@ -1,9 +1,10 @@
 """Wall-time and tracemalloc peak-byte measurements for the demo's kernels.
 
 For each image format the benchmark times the SSE alone, the SSE with its
-gradient, and the Hessian-multiply at two pages, then makes one more,
-untimed call of each under ``tracemalloc`` and records how far traced memory
-rose above its level before the call.  Tracing is off while the clock runs.
+gradient, and the Hessian-multiply at two pages on a state built outside the
+timer, as each CG step pays it.  It then makes one more, untimed call of each
+under ``tracemalloc`` and records how far traced memory rose above its level
+before the call.  Tracing is off while the clock runs.
 Absolute numbers are environment-specific; the interesting outputs are the
 ratios between the operations and how the bytes scale with the pixel count.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import BoundsError
-from .model import hess_mult, sse
+from .model import hess_mult_cached, sse, state_at
 from .scene import SceneConfig, make_instance
 
 __all__ = ["BenchRow", "benchmark", "write_bench_csv"]
@@ -55,7 +56,7 @@ def _peak_bytes(fn):
 
 
 def benchmark(sizes, reps=3) -> list[BenchRow]:
-    """Measure sse, sse+gradient, and hess_mult(P=2) on the demo scene
+    """Measure sse, sse+gradient, and hess_mult_cached(P=2) on the demo scene
     (``make_instance``, seed 0) of each square size."""
     if reps < 1:
         raise BoundsError(f"reps must be at least 1, got {reps}")
@@ -66,12 +67,12 @@ def benchmark(sizes, reps=3) -> list[BenchRow]:
         phi = np.zeros((m, m))
         rng = np.random.default_rng(0)
         dphi = rng.uniform(-0.1, 0.1, (m, m, 2))
-        _, _, xt = sse(phi, xa, wb)
+        state = state_at(phi, xa, wb)
 
         ops = {
             "sse": lambda: sse(phi, xa, wb),
             "sse_grad": lambda: sse(phi, xa, wb, want_gradient=True),
-            "hmf": lambda: hess_mult(xt, dphi, wb),
+            "hmf": lambda: hess_mult_cached(state, dphi),
         }
         secs = {op: _median_time(fn, reps) for op, fn in ops.items()}
         rows += [BenchRow(m, m, op, secs[op], _peak_bytes(fn)) for op, fn in ops.items()]

@@ -2,7 +2,8 @@
 
 Subcommands: ``synth`` writes a synthetic scene, ``solve`` corrects an
 aberrated image by SSE minimization, ``bench`` measures kernel timings and
-tracemalloc peak bytes, ``check`` runs the finite-difference derivative suites.
+tracemalloc peak bytes, ``check`` compares the gradient and ``hess_mult_cached``
+with central differences at a uniform random phase on the 16x16 seed-5 scene.
 """
 
 from __future__ import annotations
@@ -17,11 +18,10 @@ import numpy as np
 
 from ..errors import DataFileError, EngineError
 from .bench import benchmark, write_bench_csv
-from .fourier import fft2, ifft2
-from .model import hess_mult, sse
+from .model import hess_mult_cached, state_at
 from .optimize import TrustRegionOptions, optimize
 from .pgm import read_csv, read_mask, read_pgm, write_csv, write_mask, write_pgm
-from .scene import SceneConfig, make_aberration, make_instance
+from .scene import SceneConfig, make_instance
 
 
 @contextmanager
@@ -104,37 +104,28 @@ def _cmd_bench(args):
 
 
 def _cmd_check(args):
+    inst = make_instance(SceneConfig(size=16, seed=5))
     rng = np.random.default_rng(11)
-    m = n = 8
-    source = np.abs(fft2(rng.uniform(size=(m, n)))) ** 2
-    source /= source.max()
-    r = np.hypot(*np.meshgrid(np.arange(m) - m // 2, np.arange(n) - n // 2, indexing="ij"))
-    wb = (r < 1) | (r > 3)
-    phi_true = make_aberration(m, n, 5)
-    xa = np.real(ifft2(fft2(np.sqrt(source) * ~wb) * np.exp(1j * phi_true)))
-    phi = make_aberration(m, n, 6) * 0.3
+    shape = inst.mask.shape
+    state = state_at(rng.uniform(-np.pi, np.pi, shape), inst.aberrated, inst.mask)
     eps = 1e-5
     failures = 0
 
-    _, grad, xt = sse(phi, xa, wb, want_gradient=True)
     for k in range(10):
-        d = rng.standard_normal((m, n))
-        ep, _, _ = sse(phi + eps * d, xa, wb)
-        em, _, _ = sse(phi - eps * d, xa, wb)
-        fd = (ep - em) / (2 * eps)
-        an = float((grad * d).sum())
+        d = rng.standard_normal(shape)
+        fd = (state.at(state.phi + eps * d).e - state.at(state.phi - eps * d).e) / (2 * eps)
+        an = float((state.grad * d).sum())
         scale = max(abs(fd), abs(an), 1e-12)
         if abs(fd - an) / scale > 1e-6:
             failures += 1
             print(f"gradient direction {k}: fd {fd:.6e} vs analytic {an:.6e}")
 
-    dphi = rng.standard_normal((m, n, 3))
-    f = hess_mult(xt, dphi, wb)
+    dphi = rng.standard_normal((*shape, 3))
+    f = hess_mult_cached(state, dphi)
     for k in range(3):
-        _, gp, _ = sse(phi + eps * dphi[:, :, k], xa, wb, want_gradient=True)
-        _, gm, _ = sse(phi - eps * dphi[:, :, k], xa, wb, want_gradient=True)
-        fd = (gp - gm) / (2 * eps)
-        hv = f[:, k].reshape(m, n)
+        d = dphi[:, :, k]
+        fd = (state.at(state.phi + eps * d).grad - state.at(state.phi - eps * d).grad) / (2 * eps)
+        hv = f[:, k].reshape(shape)
         scale = max(np.abs(fd).max(), np.abs(hv).max(), 1e-12)
         if np.abs(fd - hv).max() / scale > 1e-5:
             failures += 1

@@ -1,9 +1,8 @@
 """2D discrete Fourier transforms for the image-correction demo.
 
-``dft_operator`` builds the explicit transform matrix used as an independent
-reference; ``fft2``/``ifft2`` compute the same transform with ``numpy.fft``
-(O(MN log MN) for every length, including primes such as 401).  Both operate
-pagewise over trailing dimensions and return complex128 for every input kind.
+``fft2``/``ifft2`` compute the transform with ``numpy.fft`` (O(MN log MN) for
+every length, including primes such as 401).  Both operate pagewise over
+trailing dimensions and return complex128 for every input kind.
 """
 
 from __future__ import annotations
@@ -12,14 +11,7 @@ import numpy as np
 
 from ..errors import DimMismatchError
 
-__all__ = ["dft_operator", "fft2", "ifft2"]
-
-
-def dft_operator(m: int) -> np.ndarray:
-    """Explicit m x m transform matrix exp(-2j*pi*K/m), K = k k^T mod m."""
-    k = np.arange(m)
-    kk = np.mod(np.outer(k, k), m)
-    return np.exp(-2j * np.pi * kk / m)
+__all__ = ["fft2", "ifft2"]
 
 
 def _planes(x) -> np.ndarray:
@@ -33,10 +25,7 @@ def _planes(x) -> np.ndarray:
 
 
 def fft2(x: np.ndarray) -> np.ndarray:
-    """2D DFT over the first two dimensions, pagewise over the rest.
-
-    Agrees with ``U @ X @ V.T`` built from :func:`dft_operator`.
-    """
+    """2D DFT over the first two dimensions, pagewise over the rest."""
     return np.fft.fft2(_planes(x), axes=(0, 1))
 
 

@@ -94,6 +94,6 @@ def read_csv(path) -> np.ndarray:
     if not any(line.partition("#")[0].strip() for line in lines):
         raise DataFileError("no data", path)
     try:
-        return np.atleast_2d(np.loadtxt(lines, delimiter=","))
+        return np.loadtxt(lines, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise DataFileError(f"malformed CSV: {exc}", path) from exc

@@ -321,6 +321,13 @@ def count_local_minima(profile):
     return int(np.sum((inner < profile[:-2]) & (inner < profile[2:])))
 
 
+def dft_operator(m):
+    """Explicit m x m transform matrix exp(-2j*pi*K/m), K = k k^T mod m."""
+    k = np.arange(m)
+    kk = np.mod(np.outer(k, k), m)
+    return np.exp(-2j * np.pi * kk / m)
+
+
 def rt_model(phi, xa, wb, dphi=None):
     """The coronagraph model built on the engine: ``(E, grad, xt)``, and with
     ``dphi`` (M x N x P) also the Hessian applied to each page, as the
@@ -333,7 +340,6 @@ def rt_model(phi, xa, wb, dphi=None):
     it holds at every phase, not only an odd-symmetric one.
     """
     from rtensor import ewise_binary, ewise_unary, fresh_many, product, with_indices
-    from rtensor.corona import dft_operator
 
     m, n = xa.shape
     r, c, k, l = fresh_many(4)  # image rows and columns, frequency rows and columns

@@ -29,7 +29,6 @@ from rtensor import (
 from rtensor.corona import (
     SceneConfig,
     TrustRegionOptions,
-    dft_operator,
     fft2,
     hess_mult,
     ifft2,
@@ -41,7 +40,7 @@ from rtensor.corona import (
 from rtensor.corona.bench import benchmark
 from rtensor.dsl import Environment, evaluate, parse
 
-from oracles import loop_product, selector_concat
+from oracles import dft_operator, loop_product, selector_concat
 
 
 def _report(num, ok, detail):

@@ -6,6 +6,7 @@ import pytest
 import rtensor.corona.cli as corona_cli
 from rtensor.corona.bench import BenchRow
 from rtensor.corona.cli import main as corona_main
+from rtensor.corona.model import hess_mult
 from rtensor.corona.pgm import read_csv, read_mask, read_pgm, write_csv, write_mask, write_pgm
 from rtensor.errors import DataFileError, DimMismatchError, SpecError
 
@@ -165,10 +166,14 @@ def test_missing_file_carries_the_path(tmp_path, read):
 
 
 def test_csv_roundtrip(tmp_path):
+    rng = np.random.default_rng(2)
     path = tmp_path / "m.csv"
-    matrix = np.random.default_rng(2).standard_normal((3, 4))
-    write_csv(path, matrix)
-    np.testing.assert_array_equal(read_csv(path), matrix)
+    for shape in [(3, 4), (3, 1), (1, 3), (1, 1)]:  # a single row or column keeps its shape
+        matrix = rng.standard_normal(shape)
+        write_csv(path, matrix)
+        back = read_csv(path)
+        assert back.shape == shape
+        np.testing.assert_array_equal(back, matrix)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -243,3 +248,12 @@ def test_cli_lets_unexpected_errors_propagate(tmp_path, monkeypatch):
 
 def test_check_command():
     assert corona_main(["check"]) == 0
+
+
+def test_check_fails_for_a_hessian_exact_only_at_odd_phases(monkeypatch, capsys):
+    """The check's random phase is not odd, so the product from ``xt`` alone,
+    which takes the phase-shifted spectrum as ``fft2(xt)``, must fail it."""
+    monkeypatch.setattr(corona_cli, "hess_mult_cached", lambda s, d: hess_mult(s.xt, d, s.wb))
+    assert corona_main(["check"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("hessian page") == 3 and "gradient direction" not in out

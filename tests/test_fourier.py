@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from rtensor.corona import dft_operator, fft2, ifft2
+from rtensor.corona import fft2, ifft2
 from rtensor.errors import DimMismatchError
+
+from oracles import dft_operator
 
 
 def test_operator_m2_exact():

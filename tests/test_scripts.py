@@ -22,5 +22,6 @@ def test_run_demo_writes_the_images_and_reports_the_error(tmp_path):
     assert out.returncode == 0, out.stderr
     for name in ("source", "ground_truth", "mask", "aberrated", "corrected"):
         assert (tmp_path / f"{name}.pgm").stat().st_size > 0
-    assert (tmp_path / "phase.csv").stat().st_size > 0
+    for name in ("aberrated", "phase", "report"):
+        assert (tmp_path / f"{name}.csv").stat().st_size > 0
     assert "max |corrected - ground truth| = " in out.stdout

@@ -26,8 +26,7 @@ def test_array_helpers_stay_out_of_the_package_namespace():
 def test_every_public_name_is_used_outside_the_tests():
     """Each name in ``rtensor.__all__`` and ``rtensor.corona.__all__`` is
     referenced under src/, scripts/ or perfbench/, outside its own definition
-    and outside any test.  ``dft_operator`` is exempt: it is the reference the
-    FFT tests compare against."""
+    and outside any test."""
     import ast
 
     import rtensor
@@ -52,7 +51,7 @@ def test_every_public_name_is_used_outside_the_tests():
         for path in (root / top).rglob("*.py"):
             if "tests" not in path.relative_to(root).parts:
                 visit(ast.parse(path.read_text()), frozenset())
-    public = [*rtensor.__all__, *(n for n in rtensor.corona.__all__ if n != "dft_operator")]
+    public = [*rtensor.__all__, *rtensor.corona.__all__]
     assert [name for name in public if name not in used] == []
 
 
