@@ -15,15 +15,7 @@ from .indices import IndexHandle, fresh, fresh_many
 from .tensor import Tensor, assign, from_array, with_indices
 from .ewise import alignn, equal_all, ewise_binary, ewise_unary
 from .lattice import align2, product, solve_left, solve_right
-from .pagewise import (
-    concat,
-    horzcat,
-    page_ctranspose,
-    page_diag,
-    page_trace,
-    page_transpose,
-    vertcat,
-)
+from .pagewise import concat, page_ctranspose, page_diag, page_trace, page_transpose
 from . import errors
 
 __all__ = [
@@ -47,7 +39,5 @@ __all__ = [
     "page_trace",
     "page_diag",
     "concat",
-    "horzcat",
-    "vertcat",
     "errors",
 ]

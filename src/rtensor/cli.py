@@ -58,26 +58,25 @@ class _Parser(argparse.ArgumentParser):
 
 
 def main(argv=None) -> int:
+    common = _Parser(add_help=False)
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--define", action="append", metavar="name=expr")
+    common.add_argument("--json", action="store_true")
     parser = _Parser(prog="rt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", help="evaluate one expression")
+    p = sub.add_parser("eval", parents=[common], help="evaluate one expression")
     p.add_argument("expression")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--define", action="append", metavar="name=expr")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_eval)
 
-    p = sub.add_parser("run", help="run a script of statements")
+    p = sub.add_parser("run", parents=[common], help="run a script of statements")
     p.add_argument("script")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--define", action="append", metavar="name=expr")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_run)
 
     args = parser.parse_args(argv)
-    env = Environment.with_seed(args.seed)
+    env = None
     try:
+        env = Environment.with_seed(args.seed)
         _apply_defines(env, args.define)
         return args.fn(args, env)
     except EngineError as exc:

@@ -2,9 +2,10 @@
 
 For each image format the benchmark times the SSE alone, the SSE with its
 gradient, and the Hessian-multiply at two pages on a state built outside the
-timer, as each CG step pays it.  It then makes one more, untimed call of each
-under ``tracemalloc`` and records how far traced memory rose above its level
-before the call.  Tracing is off while the clock runs.
+timer, as each CG step pays it.  Each repetition times the three in turn, and
+each reports the median of its own times.  It then makes one more, untimed
+call of each under ``tracemalloc`` and records how far traced memory rose
+above its level before the call.  Tracing is off while the clock runs.
 Absolute numbers are environment-specific; the interesting outputs are the
 ratios between the operations and how the bytes scale with the pixel count.
 """
@@ -34,13 +35,16 @@ class BenchRow:
     bytes: int
 
 
-def _median_time(fn, reps):
-    times = []
+def _median_times(ops, reps):
+    """Each op's median wall time over ``reps`` rounds; a round times every
+    op in turn, so drift in the machine's speed falls on all of them alike."""
+    times = {op: [] for op in ops}
     for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times))
+        for op, fn in ops.items():
+            t0 = time.perf_counter()
+            fn()
+            times[op].append(time.perf_counter() - t0)
+    return {op: float(np.median(t)) for op, t in times.items()}
 
 
 def _peak_bytes(fn):
@@ -74,7 +78,7 @@ def benchmark(sizes, reps=3) -> list[BenchRow]:
             "sse_grad": lambda: sse(phi, xa, wb, want_gradient=True),
             "hmf": lambda: hess_mult_cached(state, dphi),
         }
-        secs = {op: _median_time(fn, reps) for op, fn in ops.items()}
+        secs = _median_times(ops, reps)
         rows += [BenchRow(m, m, op, secs[op], _peak_bytes(fn)) for op, fn in ops.items()]
     return rows
 

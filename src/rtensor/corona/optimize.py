@@ -10,11 +10,13 @@ a poor one, so the solver cannot repeat a rejected step forever.
 
 CG is Jacobi-preconditioned by a change of variables (Steihaug 1983; Nocedal
 and Wright, *Numerical Optimization*, ch. 4 and 7): with ``s`` the inverse
-square root of the Hessian's exact diagonal on the odd phases, where every
-iterate lies, floored, CG works on ``s o g`` and ``s o H(s o v)`` and the
-step is ``s o`` its result, so the trust region bounds the step in the scaled
-norm ``|step / s|``.  ``s`` is recomputed at the start and at each accepted
-point from the model state and one ``fft2`` of its deviant mask.
+square root of the Hessian's diagonal, floored, CG works on ``s o g`` and
+``s o H(s o v)`` and the step is ``s o`` its result, so the trust region
+bounds the step in the scaled norm ``|step / s|``.  ``s`` is recomputed at
+the start and at each accepted point from the model state and one ``fft2``
+of its deviant mask.  The diagonal is exact on the odd phases,
+phi(-k) = -phi(k).  The solve starts there, at zero, and leaves as rounding
+grows an even part; that departure is what lets criterion 9's scene converge.
 """
 
 from __future__ import annotations
@@ -129,8 +131,8 @@ def _to_boundary(z, d, radius):
 def _jacobi_scaling(state, s):
     """Write into ``s`` the scaling ``1/sqrt(max(|d|, _DIAG_FLOOR * max|d|))``.
 
-    Every iterate is odd, phi(-k) = -phi(k) with indices mod (M, N), so ``d``
-    is the Hessian's curvature along ``e_k - e_-k`` per unit step,
+    At an odd phase, phi(-k) = -phi(k) with indices mod (M, N), ``d`` is the
+    Hessian's exact curvature along ``e_k - e_-k`` per unit step,
     ``2*(f*|yt|^2 - Re(conj(yt)^2 o W2)/MN - curvature)/MN``, with ``f`` the
     deviant fraction ``mean(w)`` and ``W2`` the mask's DFT ``fft2(w)`` read
     at twice the frequency, mod (M, N).  That one ``fft2`` is the scaling's

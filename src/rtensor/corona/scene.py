@@ -88,8 +88,10 @@ def make_aberration(m: int, n: int, seed: int) -> np.ndarray:
 
     Free entries draw from uniform(-pi, pi); self-paired entries (the DC term
     and, for even sizes, the Nyquist lines' fixed points) are zero so the
-    symmetry holds exactly.
+    symmetry holds exactly.  A negative ``seed`` raises ``SpecError``.
     """
+    if seed < 0:
+        raise SpecError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     u = rng.uniform(-np.pi, np.pi, (m, n))
     rows = np.arange(m)[:, None]

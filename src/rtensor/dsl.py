@@ -396,6 +396,8 @@ class Environment:
 
     @classmethod
     def with_seed(cls, seed: int) -> "Environment":
+        if seed < 0:
+            raise BoundsError(f"seed must be non-negative, got {seed}")
         return cls(rng=np.random.default_rng(seed))
 
     def index(self, name: str) -> IndexHandle:
@@ -465,8 +467,8 @@ def evaluate(node, env: Environment):
     if isinstance(node, Call):
         return _call(node, env)
     if isinstance(node, Bracket):
-        return pagewise.vertcat(
-            *(pagewise.horzcat(*(evaluate(item, env) for item in row)) for row in node.rows))
+        return pagewise.concat(
+            0, [pagewise.concat(1, [evaluate(item, env) for item in row]) for row in node.rows])
     if isinstance(node, Assign):
         value = evaluate(node.value, env)
         target = node.target

@@ -22,8 +22,6 @@ __all__ = [
     "page_trace",
     "page_diag",
     "concat",
-    "horzcat",
-    "vertcat",
 ]
 
 
@@ -62,31 +60,17 @@ def page_diag(t) -> Tensor:
     return Tensor._wrap(d.reshape((d.shape[0], 1) + t.tensor_dims), t.indices)
 
 
-def _resolve_axis(axis) -> int:
-    if axis == "rows":
-        return 0
-    if axis == "cols":
-        return 1
-    if isinstance(axis, (int, np.integer)):
-        if axis < 0:
-            raise IndexArityError(
-                f"concatenation axis {axis + 1} lies before the first dimension"
-            )
-        return int(axis)
-    raise SubscriptKindError(f"invalid concatenation axis {axis!r}")
-
-
 def concat(where, operands) -> Tensor:
-    """Concatenate tensors along an index or along the rows/cols axis.
+    """Concatenate tensors along an index or along a 0-based array axis.
 
     With an :class:`IndexHandle`, the identity must be present in every
     operand; remaining identities align on their union with broadcast
     expansion, and the result's size along the identity is the sum of operand
     sizes.  Identities appearing in both variants are summed after joining,
     mirroring the generic N-ary pipeline.  Rows and columns off the
-    concatenation axis must match exactly.  A numeric axis past the rows and
-    columns names the union's identity at that position, whose sizes may
-    differ across operands as with the index form.
+    concatenation axis must match exactly.  An ``int`` axis is ``0`` for rows,
+    ``1`` for columns, and past them names the union's identity at that
+    position, whose sizes may differ across operands as with the index form.
     """
     ops = [_operand(op) for op in operands]
     if not ops:
@@ -97,17 +81,21 @@ def concat(where, operands) -> Tensor:
             if all(h.id != where.id for h in op.indices):
                 raise UnknownIndexError("operand lacks concatenation index {}", where)
         ax = 2 + union.index(where.id)
+    elif isinstance(where, (int, np.integer)):
+        ax = int(where)
     else:
-        ax = _resolve_axis(where)
-    joined = union[ax - 2:ax - 1] if ax >= 2 else []  # the identity joined, if any
-    aligned, plan = _align(ops, joined)
-    if len(ops) == 1:
-        return Tensor._wrap(aligned[0], plan.union_indices)
+        raise SubscriptKindError(f"invalid concatenation axis {where!r}")
+    if ax < 0:
+        raise IndexArityError(f"concatenation axis {ax + 1} lies before the first dimension")
     if ax >= 2 + len(union):
         raise IndexArityError(
             f"concatenation axis {ax + 1} lies beyond the operands' "
             f"{2 + len(union)} dimensions"
         )
+    joined = union[ax - 2:ax - 1] if ax >= 2 else []  # the identity joined, if any
+    aligned, plan = _align(ops, joined)
+    if len(ops) == 1:
+        return Tensor._wrap(aligned[0], plan.union_indices)
     for d in {0, 1} - {ax}:
         sizes = sorted({x.shape[d] for x in aligned})
         if len(sizes) > 1:
@@ -124,13 +112,3 @@ def concat(where, operands) -> Tensor:
     if plan.contract_ids:
         result = result.sum(plan.contract_ids)
     return result
-
-
-def horzcat(*operands) -> Tensor:
-    """Column concatenation, the bracket form ``[a b]``."""
-    return concat("cols", list(operands))
-
-
-def vertcat(*operands) -> Tensor:
-    """Row concatenation, the bracket form ``[a; b]``."""
-    return concat("rows", list(operands))

@@ -275,25 +275,6 @@ class Tensor:
 
     # -- unary ops ---------------------------------------------------------
 
-    def permute(self, new_idx: Sequence[IndexHandle]) -> "Tensor":
-        """Reorder tensor dimensions to follow ``new_idx``.
-
-        Every existing identity must be retained (variants stay as stored);
-        extra identities are allowed and address trailing singletons with the
-        variant given.
-        """
-        new_idx = tuple(new_idx)
-        ids = [h.id for h in new_idx]
-        for h in self.indices:
-            if h.id not in ids:
-                raise UnknownIndexError("subscripts do not cover index {}", h)
-        if len(set(ids)) != len(ids):
-            raise SubscriptKindError("permutation lists an identity twice")
-        _check_degree(len(ids))
-        own = {h.id: h for h in self.indices}
-        arr = self.fold([[0], [1]] + [[h] for h in new_idx])
-        return Tensor._wrap(arr, [own.get(h.id, h) for h in new_idx])
-
     def sum(self, over: Iterable[IndexHandle]) -> "Tensor":
         """Sum the stored array over matched identities, irrespective of variants."""
         over_ids = {h.id for h in over}
@@ -375,15 +356,23 @@ def with_indices(values, idx: Sequence[IndexHandle]) -> Tensor:
 
 
 def assign(subs: Sequence[IndexHandle], src) -> Tensor:
-    """Indexed assignment: permute ``src`` into the order of ``subs``.
+    """Indexed assignment: reorder ``src`` into the order of ``subs``.
 
-    The result's indices are ``subs`` verbatim, so the left-hand subscripts fix
-    both the dimension order and the variants.
+    ``subs`` must name every identity of ``src``, each once; identities
+    ``src`` lacks address trailing singletons.  The result's indices are
+    ``subs`` verbatim, so the left-hand subscripts fix both the dimension
+    order and the variants.
     """
     if not isinstance(src, Tensor):
         raise AssignKindError("indexed assignment requires a tensor right-hand side")
+    subs = tuple(subs)
     if any(not isinstance(s, IndexHandle) for s in subs):
         raise SubscriptKindError("indexed assignment requires index-handle subscripts")
-    permuted = src.permute(subs)
-    return Tensor._wrap(permuted.entries, subs)
-
+    ids = {h.id for h in subs}
+    for h in src.indices:
+        if h.id not in ids:
+            raise UnknownIndexError("subscripts do not cover index {}", h)
+    if len(ids) != len(subs):
+        raise SubscriptKindError("indexed assignment lists an identity twice")
+    _check_degree(len(subs))
+    return Tensor._wrap(src.fold([[0], [1]] + [[h] for h in subs]), subs)

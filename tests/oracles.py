@@ -339,7 +339,7 @@ def rt_model(phi, xa, wb, dphi=None):
     derivative of the gradient ``2/MN * Im(conj(Yt) o Ye)`` term by term, so
     it holds at every phase, not only an odd-symmetric one.
     """
-    from rtensor import ewise_binary, ewise_unary, fresh_many, product, with_indices
+    from rtensor import assign, ewise_binary, ewise_unary, fresh_many, product, with_indices
 
     m, n = xa.shape
     r, c, k, l = fresh_many(4)  # image rows and columns, frequency rows and columns
@@ -355,7 +355,7 @@ def rt_model(phi, xa, wb, dphi=None):
         return product(ops[0], product(ops[1], t))
 
     def array(t, idx):
-        return t.permute(idx).entries.reshape(m, n)
+        return assign(idx, t).entries.reshape(m, n)
 
     def im_conj_times(a, b):
         """``Im(conj(a) o b)`` as an M x N array."""

@@ -61,15 +61,17 @@ def test_concat_matches_selector_oracle(case):
         where = j
     elif where == "axis":  # the array axis of j's dimension, before any identity is summed out
         where = 2 + list(dict.fromkeys(h.id for _, x in ops for h in x)).index(j.id)
+    else:  # the matrix axis, 0 for rows and 1 for cols
+        where = ("rows", "cols").index(where)
     got = concat(where, [with_indices(e, x) for e, x in ops])
     assert got.indices == tuple(union)
     assert got.entries.dtype == want.dtype
     np.testing.assert_array_equal(got.entries, want.reshape(got.entries.shape))
 
 
-@pytest.mark.parametrize("where", ["rows", "cols"])
+@pytest.mark.parametrize("where", [0, 1], ids=["rows", "cols"])
 def test_concat_rejects_a_matrix_axis_that_differs_off_the_axis(where):
     # off the concatenation axis, rows and cols match exactly: no broadcast
     a, b = np.ones((2, 1)), np.ones((1, 2))
     with pytest.raises(DimMismatchError):
-        concat(where, [a, b] if where == "cols" else [a.T, b.T])
+        concat(where, [a, b] if where == 1 else [a.T, b.T])

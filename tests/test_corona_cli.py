@@ -105,6 +105,20 @@ def test_bench_prints_one_row_per_measured_size_in_run_order(tmp_path, capsys, m
         assert [int(r[4]) for r in written[3 * k - 3:3 * k]] == [100 * k, 200 * k, 400 * k]
 
 
+def test_bench_interleaves_the_repetitions_of_its_ops(monkeypatch):
+    import rtensor.corona.bench as bench
+
+    calls = []
+    sse, hess = bench.sse, bench.hess_mult_cached
+    monkeypatch.setattr(bench, "sse", lambda *a, want_gradient=False: calls.append(
+        "sse_grad" if want_gradient else "sse") or sse(*a, want_gradient=want_gradient))
+    monkeypatch.setattr(bench, "hess_mult_cached", lambda *a: calls.append("hmf") or hess(*a))
+    rows = bench.benchmark([16], reps=3)
+    # three timed rounds of every op in turn, then one traced call of each
+    assert calls == ["sse", "sse_grad", "hmf"] * 4
+    assert [r.op for r in rows] == ["sse", "sse_grad", "hmf"]
+
+
 def _pgm_blob(tmp_path):
     path = tmp_path / "img.pgm"
     write_pgm(path, np.full((2, 3), 0.5))
@@ -201,6 +215,13 @@ def test_unwritable_output_is_reported_with_its_path(tmp_path, capsys, command):
         command = command + ["--in", str(scene)]
     assert corona_main(command + ["--out", str(blocked)]) == 1
     assert f"error: {blocked}: cannot write" in capsys.readouterr().err
+
+
+def test_synth_with_a_negative_seed_is_reported_before_writing(tmp_path, capsys):
+    out = tmp_path / "d"
+    assert corona_main(["synth", "--size", "16", "--seed", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+    assert not out.exists()
 
 
 def test_bench_to_a_missing_directory_is_reported_with_its_path(tmp_path, capsys):

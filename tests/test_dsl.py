@@ -29,7 +29,7 @@ from rtensor.dsl import (
     run_script,
     to_json_record,
 )
-from rtensor.errors import ExprSyntaxError, SubscriptKindError, UnknownNameError
+from rtensor.errors import BoundsError, ExprSyntaxError, SubscriptKindError, UnknownNameError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -457,6 +457,7 @@ def test_a_one_dimensional_result_is_degree_one(capsys, text, n):
     ("a(k) + c(k)", "index k has sizes 3 and 4 across operands"),
     ("a(k) .* c(~k)", "index ~k has sizes 3 and 4 across operands"),
     ("x(i) = ones(3)", "subscripts do not cover index (unnamed)"),  # not the i<id> ones(3) minted
+    ("b(k, ~k) = a(k)", "indexed assignment lists an identity twice"),
 ])
 def test_an_error_names_indices_as_the_statement_does(tmp_path, capsys, text, message):
     defines = ["--define", "m=[1 2; 3 4]", "--define", "a=ones(3)", "--define", "c=ones(4)"]
@@ -611,6 +612,26 @@ def test_matrix_axes_that_do_not_broadcast_are_reported(tmp_path, capsys, text):
 def test_cat_along_dimension_zero_is_reported(capsys):
     assert rt_main(["eval", "cat(0, ones(2), ones(2))"]) == 1
     assert "error: concatenation axis 0 lies before the first dimension" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, dims", [("cat(9, ones(2))", 3), ("cat(9, ones(2), ones(2))", 4)])
+def test_cat_beyond_the_operand_dimensions_is_reported_for_any_operand_count(capsys, text, dims):
+    assert rt_main(["eval", text]) == 1
+    assert capsys.readouterr().err == (
+        f"error: concatenation axis 9 lies beyond the operands' {dims} dimensions\n")
+
+
+@pytest.mark.parametrize("argv", [["eval", "1"], ["run", "script.rts"]])
+def test_a_negative_seed_is_reported(capsys, argv):
+    assert rt_main([*argv, "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be non-negative, got -1\n"
+
+
+def test_environment_rejects_a_negative_seed():
+    with pytest.raises(BoundsError, match="seed must be non-negative, got -3"):
+        Environment.with_seed(-3)
 
 
 @pytest.mark.parametrize("text", ["a(1.5)", "a(1,2.9)", "cat(2.5, a, a)", "ones(2.5)"])

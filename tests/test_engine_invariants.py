@@ -17,7 +17,6 @@ from rtensor import (
     ewise_binary,
     ewise_unary,
     fresh_many,
-    horzcat,
     page_ctranspose,
     page_diag,
     page_trace,
@@ -25,7 +24,6 @@ from rtensor import (
     product,
     solve_left,
     solve_right,
-    vertcat,
     with_indices,
 )
 from rtensor.errors import SubscriptKindError, UnknownNameError
@@ -119,11 +117,6 @@ def _reindex(repeat, mixed):
     return run
 
 
-def _permute(c):
-    i, j, k = c.ids
-    return c.tensor((2, 3), [i, j]).permute([j, k, i])
-
-
 def _assign(c):
     i, j, k = c.ids
     return assign([~j, k, i], c.tensor((2, 3), [i, j]))
@@ -142,10 +135,10 @@ def _concat_index(c):
     return concat(i, [c.tensor((2, 1), [i, j]), c.tensor((2, 1), [k, i], size_one={k.id})])
 
 
-def _concat_matrix(fn):
+def _concat_matrix(axis):
     def run(c):
         i, j, _ = c.ids
-        return fn(c.tensor((2, 2), [i]), c.tensor((2, 2), [j, i]))
+        return concat(axis, [c.tensor((2, 2), [i]), c.tensor((2, 2), [j, i])])
 
     return run
 
@@ -158,15 +151,14 @@ OPERATIONS = {
     **{f"ewise {op}": _ewise(op) for op in ("+", "./", ".^", "==", "<", "and")},
     **{f"unary {fn}": _unary(fn) for fn in ("neg", "conj", "abs", "exp", "round", "step", "not")},
     **{f"reindex x{r}{' mixed' if m else ''}": _reindex(r, m) for r in (2, 3) for m in (False, True)},
-    "permute": _permute,
     "assign": _assign,
     "page_transpose": _pagewise(page_transpose),
     "page_ctranspose": _pagewise(page_ctranspose),
     "page_trace": _pagewise(page_trace),
     "page_diag": _pagewise(page_diag),
     "concat index": _concat_index,
-    "horzcat": _concat_matrix(horzcat),
-    "vertcat": _concat_matrix(vertcat),
+    "concat cols": _concat_matrix(1),
+    "concat rows": _concat_matrix(0),
 }
 
 

@@ -7,12 +7,10 @@ from rtensor import (
     equal_all,
     fresh,
     fresh_many,
-    horzcat,
     page_ctranspose,
     page_diag,
     page_trace,
     page_transpose,
-    vertcat,
     with_indices,
 )
 from rtensor.errors import DimMismatchError, IndexArityError, UnknownIndexError
@@ -90,7 +88,7 @@ def test_diag_rectangular_pages():
 
 def test_concat_cols_with_ones():
     c = np.random.rand(4, 1)
-    got = concat("cols", [np.ones((4, 1)), np.abs(c)])
+    got = concat(1, [np.ones((4, 1)), np.abs(c)])
     assert got.entries.shape == (4, 2)
     np.testing.assert_array_equal(got.entries[:, 0], np.ones(4))
     np.testing.assert_array_equal(got.entries[:, 1], np.abs(c).ravel())
@@ -98,7 +96,7 @@ def test_concat_cols_with_ones():
 
 def test_concat_rows():
     b = np.random.rand(1, 5)
-    got = concat("rows", [b, np.ones((1, 5))])
+    got = concat(0, [b, np.ones((1, 5))])
     assert got.entries.shape == (2, 5)
     np.testing.assert_array_equal(got.entries[0], b.ravel())
 
@@ -127,7 +125,7 @@ def test_concat_incompatible():
         concat(3, [with_indices(np.random.rand(2, 2, 2, 2), [i, j]),
                    with_indices(np.random.rand(2, 2, 3, 2), [i, j])])
     with pytest.raises(DimMismatchError):
-        concat("cols", [np.random.rand(2, 2), np.random.rand(3, 2)])
+        concat(1, [np.random.rand(2, 2), np.random.rand(3, 2)])
 
 
 # -- index concat ----------------------------------------------------------------------
@@ -204,28 +202,29 @@ def test_concat_equals_selector_via_equal_all():
 # -- bracket forms -----------------------------------------------------------------------
 
 
-def test_horzcat_tensor_and_plain():
+def test_concat_cols_tensor_and_plain():
     i = fresh()
     c = with_indices(np.random.rand(4, 1), []).reindex([i])
-    got = horzcat(np.ones((4, 1)), c)
+    got = concat(1, [np.ones((4, 1)), c])
     assert got.entries.shape[:2] == (4, 2)
     assert [h.id for h in got.indices] == [i.id]
 
 
-def test_vertcat_row_and_ones():
+def test_concat_rows_row_and_ones():
     j = fresh()
     b = page_transpose(with_indices(np.random.rand(5, 1), []).reindex([j]))
-    got = vertcat(b, np.ones((1, 5)))
+    got = concat(0, [b, np.ones((1, 5))])
     assert got.entries.shape[:2] == (2, 5)
     assert got.indices == (~j,)
 
 
 def test_concat_beyond_the_operand_dimensions():
     i = fresh()
-    with pytest.raises(IndexArityError):
-        concat(3, [vec([1, 2], i), vec([3, 4], i)])
-    # one operand is returned as it is, whatever the axis
-    assert concat(3, [vec([1, 2], i)]).indices == (i,)
+    for operands in ([vec([1, 2], i), vec([3, 4], i)], [vec([1, 2], i)]):
+        with pytest.raises(IndexArityError, match="axis 4 lies beyond the operands' 3 dimensions"):
+            concat(3, operands)
+    # one operand inside the range is returned as it is
+    assert concat(2, [vec([1, 2], i)]).indices == (i,)
 
 
 def test_concat_before_the_first_dimension():
@@ -236,8 +235,8 @@ def test_concat_before_the_first_dimension():
 
 
 @pytest.mark.parametrize("call", [
-    lambda: concat("rows", []), lambda: concat(2, []), lambda: concat(fresh(), []), horzcat, vertcat,
-], ids=["rows", "axis", "index", "horzcat", "vertcat"])
+    lambda: concat(0, []), lambda: concat(2, []), lambda: concat(fresh(), []),
+], ids=["rows", "axis", "index"])
 def test_concat_with_no_operands_is_reported(call):
     with pytest.raises(IndexArityError, match="needs at least one operand"):
         call()

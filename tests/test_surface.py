@@ -21,6 +21,14 @@ def test_array_helpers_stay_out_of_the_package_namespace():
         assert not hasattr(rtensor, name) and not hasattr(rtensor.indices, name)
     assert not hasattr(rtensor.Tensor, "dim_of")
     assert list(inspect.signature(rtensor.alignn).parameters) == ["operands"]
+    # one public entry per operation: assign reorders, concat concatenates
+    assert not hasattr(rtensor.Tensor, "permute")
+    for name in ("horzcat", "vertcat"):
+        assert name not in rtensor.__all__ and name not in rtensor.pagewise.__all__
+        assert not hasattr(rtensor, name) and not hasattr(rtensor.pagewise, name)
+    for where in ("rows", "cols"):
+        with pytest.raises(SubscriptKindError, match="invalid concatenation axis"):
+            rtensor.concat(where, [np.ones((2, 2)), np.ones((2, 2))])
 
 
 def test_every_public_name_is_used_outside_the_tests():

@@ -51,7 +51,7 @@ def test_entries_are_read_only():
     t, _ = from_array(arr)
     with pytest.raises(ValueError):
         t.entries[0, 0, 0] = 1.0
-    derived = t.permute(list(reversed(t.indices)))
+    derived = assign(list(reversed(t.indices)), t)
     with pytest.raises(ValueError):
         derived.entries[...] = 0.0
     arr[0, 0, 0] = 5.0  # the caller's own array stays writeable
@@ -285,7 +285,7 @@ def test_slice_rejects_handles():
         t.slice([i, 1])
 
 
-# -- assign / permute ----------------------------------------------------------
+# -- assign -----------------------------------------------------------------
 
 
 def test_assign_permutes_and_adopts_variants():
@@ -320,47 +320,76 @@ def test_assign_non_tensor_source():
         assign([i], np.zeros((1, 1, 2)))
 
 
-def test_permute_swap():
+def test_assign_swap():
     i, j = fresh_many(2)
     arr = np.arange(6.0).reshape(1, 1, 2, 3)
     t = with_indices(arr, [i, j])
-    got = t.permute([j, i])
+    got = assign([j, i], t)
     np.testing.assert_array_equal(got.entries, np.transpose(arr, (0, 1, 3, 2)))
     assert got.indices == (j, i)
 
 
-def test_permute_keeps_retained_variants():
-    i, j = fresh_many(2)
-    t = with_indices(np.random.rand(1, 1, 2, 3), [i, ~j])
-    got = t.permute([j, i])
-    assert got.indices == (~j, i)
-
-
-def test_permute_grows_degree():
+def test_assign_grows_degree():
     i, k = fresh_many(2)
     t = with_indices(np.random.rand(1, 1, 4), [i])
-    got = t.permute([i, ~k])
+    got = assign([i, ~k], t)
     assert got.degree == 2
     assert got.tensor_dims == (4, 1)
     assert got.indices[1] == ~k
 
 
-def test_permute_cannot_drop():
+def test_assign_takes_any_iterable_of_subscripts():
+    i, j = fresh_many(2)
+    t = with_indices(np.random.rand(1, 1, 2, 3), [i, j])
+    got = assign(iter([j, ~i]), t)
+    assert got.indices == (j, ~i)
+    assert got.tensor_dims == (3, 2)
+
+
+def test_assign_cannot_drop():
     i, j = fresh_many(2)
     t = with_indices(np.random.rand(1, 1, 2, 3), [i, j])
     with pytest.raises(UnknownIndexError):
-        t.permute([i])
+        assign([i], t)
+
+
+def test_assign_rejects_a_repeated_identity():
+    i, j = fresh_many(2)
+    t = with_indices(np.random.rand(1, 1, 2, 3), [i, j])
+    for subs in ([i, j, i], [i, j, ~j]):
+        with pytest.raises(SubscriptKindError, match="lists an identity twice"):
+            assign(subs, t)
+
+
+def test_assign_rejects_a_degree_no_array_holds():
+    ks = fresh_many(63)
+    with pytest.raises(IndexArityError, match="degree 63 exceeds"):
+        assign(ks, with_indices(np.ones((1, 1)), []))
+
+
+def test_assign_folds_once_and_builds_one_tensor(monkeypatch):
+    import rtensor.tensor as tensor_module
+
+    i, j = fresh_many(2)
+    t = with_indices(np.random.rand(1, 1, 2, 3), [i, j])
+    calls = []
+    fold, seal = Tensor.fold, tensor_module._seal
+    monkeypatch.setattr(Tensor, "fold", lambda self, groups: calls.append("fold") or fold(self, groups))
+    monkeypatch.setattr(tensor_module, "_seal", lambda *a: calls.append("seal") or seal(*a))
+    got = assign([~j, i], t)
+    assert calls == ["fold", "seal"]
+    assert got.indices == (~j, i)
 
 
 @given(seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=25, deadline=None)
-def test_permute_inverse_is_identity(seed):
+def test_assign_inverse_is_identity(seed):
     rng = np.random.default_rng(seed)
     dims = tuple(rng.integers(1, 5, size=3))
     t, idx = from_array(rng.standard_normal((2, 2) + dims))
     order = list(idx)
     rng.shuffle(order)
-    back = t.permute(order).permute(idx)
+    back = assign(idx, assign(order, t))
     np.testing.assert_array_equal(back.entries, t.entries)
     assert back.indices == t.indices
 
