@@ -135,6 +135,12 @@ def _concat_index(c):
     return concat(i, [c.tensor((2, 1), [i, j]), c.tensor((2, 1), [k, i], size_one={k.id})])
 
 
+def _concat_axis(c):
+    # an int axis past rows and columns joins the union's first identity
+    i, j, k = c.ids
+    return concat(2, [c.tensor((2, 1), [i, j]), c.tensor((2, 1), [i, ~k], size_one={i.id})])
+
+
 def _concat_matrix(axis):
     def run(c):
         i, j, _ = c.ids
@@ -157,6 +163,7 @@ OPERATIONS = {
     "page_trace": _pagewise(page_trace),
     "page_diag": _pagewise(page_diag),
     "concat index": _concat_index,
+    "concat axis": _concat_axis,
     "concat cols": _concat_matrix(1),
     "concat rows": _concat_matrix(0),
 }

@@ -119,6 +119,15 @@ def test_concat_expands_higher_singletons():
     np.testing.assert_array_equal(got.entries[:, :, 1, :2], a[:, :, 0, :])
 
 
+def test_concat_axis_names_the_identity_at_its_union_position():
+    i, j = fresh_many(2)
+    ops = [with_indices(np.random.rand(2, 2, 3, 2), [i, j]),
+           with_indices(np.random.rand(2, 2, 1, 3), [j, i])]  # union order i, j
+    assert equal_all([concat(2, ops), concat(i, ops)])
+    assert equal_all([concat(3, ops), concat(j, ops)])
+    assert concat(3, ops).tensor_dims == (3, 3)
+
+
 def test_concat_incompatible():
     i, j = fresh_many(2)
     with pytest.raises(DimMismatchError):
@@ -235,8 +244,8 @@ def test_concat_before_the_first_dimension():
 
 
 @pytest.mark.parametrize("call", [
-    lambda: concat(0, []), lambda: concat(2, []), lambda: concat(fresh(), []),
-], ids=["rows", "axis", "index"])
+    lambda: concat(0, []), lambda: concat(1, []), lambda: concat(2, []), lambda: concat(fresh(), []),
+], ids=["rows", "cols", "axis", "index"])
 def test_concat_with_no_operands_is_reported(call):
     with pytest.raises(IndexArityError, match="needs at least one operand"):
         call()
