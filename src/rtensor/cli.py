@@ -35,7 +35,7 @@ def _cmd_eval(args, env) -> int:
         print("assert ok" if ok else "assert failed")
         return 0 if ok else 1
     if args.json:
-        print(json.dumps(to_json_record(value, env)))
+        print(json.dumps(to_json_record(value, env), allow_nan=False))
     else:
         print(summarize(value, env))
     return 0

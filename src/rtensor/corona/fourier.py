@@ -24,6 +24,12 @@ def _planes(x) -> np.ndarray:
     return x.astype(np.result_type(x.dtype, np.float64), copy=False)
 
 
+def _rev(x):
+    """``x`` with its last two axes index-reversed: x[..., -k mod M, -l mod N].
+    For any z, ifft2(_rev(conj(z))) = conj(ifft2(z)) and fft2 likewise."""
+    return np.roll(x[..., ::-1, ::-1], 1, axis=(-2, -1))
+
+
 def fft2(x: np.ndarray) -> np.ndarray:
     """2D DFT over the first two dimensions, pagewise over the rest."""
     return np.fft.fft2(_planes(x), axes=(0, 1))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DimMismatchError, SpecError
-from .fourier import fft2, ifft2
+from .fourier import _rev, fft2, ifft2
 
 __all__ = ["AberrationState", "sse", "hess_mult", "state_at", "hess_mult_cached"]
 
@@ -148,12 +148,6 @@ def hess_mult_cached(state: AberrationState, dphi):
     """Hessian-multiply reusing the transforms and curvature kept in ``state``
     (from ``state_at`` or ``state.at``)."""
     return _hess_kernel(state.yt, state.w, state.curvature, dphi)
-
-
-def _rev(x):
-    """``x`` with its last two axes index-reversed: x[..., -k mod M, -l mod N].
-    For any z, ifft2(_rev(conj(z))) = conj(ifft2(z)) and fft2 likewise."""
-    return np.roll(x[..., ::-1, ::-1], 1, axis=(-2, -1))
 
 
 def _hess_kernel(yt, w, curvature, dphi):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SpecError
-from .fourier import fft2, ifft2
+from .fourier import _rev, fft2, ifft2
 
 __all__ = [
     "SceneConfig",
@@ -94,13 +94,9 @@ def make_aberration(m: int, n: int, seed: int) -> np.ndarray:
         raise SpecError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     u = rng.uniform(-np.pi, np.pi, (m, n))
-    rows = np.arange(m)[:, None]
-    cols = np.arange(n)[None, :]
-    prow = (-rows) % m
-    pcol = (-cols) % n
-    lin = rows * n + cols
-    plin = prow * n + pcol
-    phi = np.where(lin < plin, u, -u[prow, pcol])
+    lin = np.arange(m * n).reshape(m, n)
+    plin = _rev(lin)  # the linear index of each entry's pair
+    phi = np.where(lin < plin, u, -_rev(u))
     phi[lin == plin] = 0.0
     return phi
 

@@ -586,15 +586,28 @@ def _fmt_num(v) -> str:
     return f"{float(v):.6g}"
 
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_entries(x: np.ndarray) -> list:
+    """``x.tolist()`` with each non-finite entry as the string ``float()``
+    reads back, since JSON has no token for NaN or the infinities."""
+    out = x.astype(object)
+    bad = ~np.isfinite(x)
+    out[bad] = [_NON_FINITE[str(v)] for v in x[bad]]
+    return out.tolist()
+
+
 def to_json_record(value, env: Environment | None = None) -> dict:
-    """JSON-friendly {value, dims, indices} record for one result."""
+    """JSON-friendly {value, dims, indices} record for one result; non-finite
+    entries are the strings ``"NaN"``, ``"Infinity"`` and ``"-Infinity"``."""
     if isinstance(value, (bool, np.bool_)):
         return {"value": bool(value), "dims": [], "indices": []}
     arr = value.entries
     if np.iscomplexobj(arr):
-        payload = {"real": arr.real.tolist(), "imag": arr.imag.tolist()}
+        payload = {"real": _json_entries(arr.real), "imag": _json_entries(arr.imag)}
     else:
-        payload = arr.tolist()
+        payload = _json_entries(arr)
     indices = [{"name": _index_name(h, env), "variant": bool(h.variant)} for h in value.indices]
     return {"value": payload, "dims": list(arr.shape), "indices": indices}
 
@@ -637,7 +650,7 @@ def run_script(path, env: Environment | None = None, emit=print, json_records=Fa
                 emit(report.failures[-1])
                 break
         elif json_records:
-            emit(_json.dumps({"line": lineno, **to_json_record(value, env)}))
+            emit(_json.dumps({"line": lineno, **to_json_record(value, env)}, allow_nan=False))
         else:
             emit(f"{path}:{lineno}: {summarize(value, env)}")
     return report

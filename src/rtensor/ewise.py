@@ -42,31 +42,22 @@ def alignn(operands):
 def _align(ops, skip):
     """:func:`alignn`'s body, for tensors already simplified.  ``skip`` lists
     identities whose sizes may differ across operands (index concatenation)."""
-    union: list[IndexHandle] = []
-    seen: dict[int, bool] = {}
+    first: dict[int, IndexHandle] = {}  # identity -> its leftmost occurrence
     both: set[int] = set()
-    for op in ops:
-        for h in op.indices:
-            if h.id not in seen:
-                seen[h.id] = h.variant
-                union.append(h)
-            elif seen[h.id] != h.variant:
-                both.add(h.id)
-    _check_degree(len(union))
     sizes: dict[int, int] = {}
     for op in ops:
-        shape = op.entries.shape
-        for t, h in enumerate(op.indices, 2):
-            n = shape[t]
-            if h.id in skip or n == 1:
-                continue
-            if sizes.setdefault(h.id, n) != n:
+        for h, n in zip(op.indices, op.tensor_dims):
+            if first.setdefault(h.id, h).variant != h.variant:
+                both.add(h.id)
+            if n != 1 and h.id not in skip and sizes.setdefault(h.id, n) != n:
                 raise DimMismatchError(
                     "index {} has sizes {} and {} across operands", h, sizes[h.id], n)
+    union = tuple(first.values())
+    _check_degree(len(union))
     groups = [[0], [1]] + [[h] for h in union]
     aligned = [op.fold(groups) for op in ops]
     contract = tuple(h for h in union if h.id in both)
-    return aligned, AlignmentPlanN(tuple(union), contract)
+    return aligned, AlignmentPlanN(union, contract)
 
 
 _ARITH = {

@@ -44,63 +44,56 @@ __all__ = ["AlignmentPlan2", "align2", "product", "solve_left", "solve_right"]
 
 @dataclass(frozen=True)
 class AlignmentPlan2:
-    """Classification of two index lists for a pagewise binary operation.
+    """Classification of two operands' indices for a pagewise binary operation.
 
     ``inner_ids`` are matched with complementary variants, ``page_ids`` with
     equal variants (variant recorded from the left operand); the outer lists
     hold each operand's leftovers.  ``result_indices`` is left-outer ++
-    right-outer ++ pages.
+    right-outer ++ pages.  ``left_sizes`` and ``right_sizes`` map each
+    operand's index ids to their sizes.
     """
 
     inner_ids: tuple[IndexHandle, ...]
     page_ids: tuple[IndexHandle, ...]
     left_outer_ids: tuple[IndexHandle, ...]
     right_outer_ids: tuple[IndexHandle, ...]
+    left_sizes: dict[int, int]
+    right_sizes: dict[int, int]
 
     @property
     def result_indices(self) -> tuple[IndexHandle, ...]:
         return self.left_outer_ids + self.right_outer_ids + self.page_ids
 
 
-def align2(a_indices, b_indices) -> AlignmentPlan2:
-    """Partition two index lists into inner, page, and outer groups."""
-    b_by_id = {h.id: h for h in b_indices}
+def align2(a: Tensor, b: Tensor) -> AlignmentPlan2:
+    """Partition two simplified operands' indices into inner, page, and outer
+    groups, checking each matched identity's sizes by its group's rule: inner
+    sizes must agree; page sizes must agree or be 1, which broadcasts."""
+    b_by_id = {h.id: h for h in b.indices}
+    sa: dict[int, int] = {}
+    sb = {h.id: n for h, n in zip(b.indices, b.tensor_dims)}
     inner = []
     pages = []
     left_outer = []
-    for h in a_indices:
+    for h, na in zip(a.indices, a.tensor_dims):
+        sa[h.id] = na
         other = b_by_id.get(h.id)
         if other is None:
             left_outer.append(h)
-        elif other.variant == h.variant:
+            continue
+        nb = sb[h.id]
+        if other.variant == h.variant:
+            if na != nb and 1 not in (na, nb):
+                raise DimMismatchError("page index {} has sizes {} and {}", h, na, nb)
             pages.append(h)
         else:
+            if na != nb:
+                raise DimMismatchError("inner index {} has sizes {} and {}", h, na, nb)
             inner.append(h)
-    matched = {h.id for h in inner} | {h.id for h in pages}
-    right_outer = [h for h in b_indices if h.id not in matched]
+    right_outer = [h for h in b.indices if h.id not in sa]
     _check_degree(len(left_outer) + len(right_outer) + len(pages))
-    return AlignmentPlan2(tuple(inner), tuple(pages), tuple(left_outer), tuple(right_outer))
-
-
-def _id_sizes(t: Tensor) -> dict[int, int]:
-    shape = t.entries.shape
-    return {h.id: shape[k] for k, h in enumerate(t.indices, 2)}
-
-
-def _check_matched_sizes(a: Tensor, b: Tensor, plan: AlignmentPlan2):
-    """Inner sizes must agree; page sizes must agree or be 1, which broadcasts.
-
-    Returns each operand's id -> size map for the result layout."""
-    sa, sb = _id_sizes(a), _id_sizes(b)
-    for h in plan.inner_ids:
-        na, nb = sa[h.id], sb[h.id]
-        if na != nb:
-            raise DimMismatchError("inner index {} has sizes {} and {}", h, na, nb)
-    for h in plan.page_ids:
-        na, nb = sa[h.id], sb[h.id]
-        if na != nb and 1 not in (na, nb):
-            raise DimMismatchError("page index {} has sizes {} and {}", h, na, nb)
-    return sa, sb
+    return AlignmentPlan2(tuple(inner), tuple(pages), tuple(left_outer), tuple(right_outer),
+                          sa, sb)
 
 
 def _unfold(x: np.ndarray, axes, order) -> np.ndarray:
@@ -122,8 +115,8 @@ def product(a, b) -> Tensor:
     """
     a = _operand(a)
     b = _operand(b)
-    plan = align2(a.indices, b.indices)
-    sa, sb = _check_matched_sizes(a, b, plan)
+    plan = align2(a, b)
+    sa, sb = plan.left_sizes, plan.right_sizes
     # matrix axes of each operand's outer and summed groups
     if a.cols == b.rows:
         a_out, a_sum, b_sum, b_out = [0], [1], [0], [1]
@@ -224,14 +217,9 @@ def _solve_common(den: Tensor, num: Tensor, den_left: bool):
     index, and broadcast in the solve; ``np.linalg`` promotes a real/complex
     pair by itself.
     """
-    if den_left:
-        plan = align2(den.indices, num.indices)
-        den_outer, num_outer = plan.left_outer_ids, plan.right_outer_ids
-        den_sizes, num_sizes = _check_matched_sizes(den, num, plan)
-    else:
-        plan = align2(num.indices, den.indices)
-        num_outer, den_outer = plan.left_outer_ids, plan.right_outer_ids
-        num_sizes, den_sizes = _check_matched_sizes(num, den, plan)
+    plan = align2(den, num) if den_left else align2(num, den)
+    sides = [(plan.left_outer_ids, plan.left_sizes), (plan.right_outer_ids, plan.right_sizes)]
+    (den_outer, den_sizes), (num_outer, num_sizes) = sides if den_left else sides[::-1]
 
     inner, pages = plan.inner_ids, [[h] for h in plan.page_ids]
     if (den.rows, den.cols) == (1, 1) and (num.rows, num.cols) != (1, 1):
@@ -252,8 +240,7 @@ def _solve_common(den: Tensor, num: Tensor, den_left: bool):
     axes = ([(h.id, n) for h, n in zip(plan.page_ids, X.shape[:-2])]
             + [("cr"[x], dd[x]) for x in den_free] + [(h.id, den_sizes[h.id]) for h in den_outer]
             + [("rc"[x], dn[x]) for x in num_free] + [(h.id, num_sizes[h.id]) for h in num_outer])
-    first, second = (den_outer, num_outer) if den_left else (num_outer, den_outer)
-    indices = first + second + plan.page_ids
+    indices = plan.result_indices
     return Tensor._wrap(_unfold(X, axes, ["r", "c"] + [h.id for h in indices]), indices)
 
 

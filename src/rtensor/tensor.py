@@ -144,6 +144,15 @@ class Tensor:
     def __setattr__(self, name, value):  # immutable after construction
         raise AttributeError("Tensor is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Tensor is immutable")
+
+    def __copy__(self) -> "Tensor":  # an immutable value is its own copy
+        return self
+
+    def __deepcopy__(self, memo) -> "Tensor":
+        return self
+
     # -- structure ---------------------------------------------------------
 
     @property

@@ -6,7 +6,7 @@ import pytest
 import rtensor.corona.cli as corona_cli
 from rtensor.corona.bench import BenchRow
 from rtensor.corona.cli import main as corona_main
-from rtensor.corona.model import hess_mult
+from rtensor.corona.model import hess_mult, sse
 from rtensor.corona.pgm import read_csv, read_mask, read_pgm, write_csv, write_mask, write_pgm
 from rtensor.errors import DataFileError, DimMismatchError, SpecError
 
@@ -169,6 +169,21 @@ def test_solve_reports_an_empty_csv_with_its_path(tmp_path, capsys):
     (scene / "aberrated.csv").write_text("# no rows\n")
     assert corona_main(["solve", "--in", str(scene), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {scene / 'aberrated.csv'}: no data\n"
+
+
+def test_solve_reads_the_pgm_when_the_scene_has_no_csv(tmp_path):
+    scene = tmp_path / "scene"
+    assert corona_main(["synth", "--size", "16", "--seed", "3", "--out", str(scene)]) == 0
+    wb, zero = read_mask(scene / "mask.pgm"), np.zeros((16, 16))
+    from_csv = sse(zero, read_csv(scene / "aberrated.csv"), wb)[0]
+    from_pgm = sse(zero, read_pgm(scene / "aberrated.pgm"), wb)[0]
+    (scene / "aberrated.csv").unlink()
+    out = tmp_path / "out"
+    assert corona_main(["solve", "--in", str(scene), "--max-iter", "1", "--out", str(out)]) == 0
+    with open(out / "report.csv") as f:
+        start = float(list(csv.reader(f))[1][1])
+    assert start == pytest.approx(from_pgm, rel=1e-8)
+    assert start != pytest.approx(from_csv, rel=1e-2)  # the PGM clamps and quantizes
 
 
 @pytest.mark.parametrize("read", [read_pgm, read_csv])

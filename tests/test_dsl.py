@@ -412,6 +412,59 @@ def test_cli_eval_cat_along_an_index_dimension_of_unequal_sizes(capsys):
     assert rec["dims"] == [1, 1, 5]
 
 
+def _no_constant(token):
+    raise ValueError(f"not JSON: {token}")
+
+
+@pytest.mark.parametrize("text, entry", [
+    ("log(0) - log(0)", "NaN"), ("-log(0)", "Infinity"), ("log(0)", "-Infinity"),
+])
+def test_cli_json_writes_non_finite_entries_as_strings(tmp_path, capsys, text, entry):
+    assert rt_main(["eval", text, "--json"]) == 0
+    rec = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+    assert rec["value"] == [[entry]]
+    script = tmp_path / "s.rts"
+    script.write_text(f"x = [1 2] .* ({text})\n")
+    assert rt_main(["run", str(script), "--json"]) == 0
+    rec = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+    assert rec["value"] == [[entry, entry]]
+    assert np.array_equal([float(v) for v in rec["value"][0]], [float(entry)] * 2, equal_nan=True)
+
+
+def test_json_record_writes_non_finite_complex_parts_as_strings():
+    t = with_indices(np.array([[complex(np.inf, np.nan), complex(1, -np.inf)]]), [])
+    rec = to_json_record(t)
+    assert rec["value"] == {"real": [["Infinity", 1.0]], "imag": [["NaN", "-Infinity"]]}
+    json.dumps(rec, allow_nan=False)
+
+
+def test_cli_run_json_records_carry_the_line_and_asserts_stay_text(tmp_path, capsys):
+    script = tmp_path / "s.rts"
+    script.write_text("a = ones(1,1,2)\n# a comment\nassert isequal(a, a)\nb = a(i) .* 2\n")
+    assert rt_main(["run", str(script), "--json"]) == 0
+    first, middle, last = capsys.readouterr().out.splitlines()
+    assert json.loads(first) == {"line": 1, "value": [[[1.0, 1.0]]], "dims": [1, 1, 2],
+                                 "indices": [{"name": None, "variant": True}]}
+    assert middle == f"{script}:3: assert ok"
+    assert json.loads(last) == {"line": 4, "value": [[[2.0, 2.0]]], "dims": [1, 1, 2],
+                                "indices": [{"name": "i", "variant": True}]}
+
+
+@pytest.mark.parametrize("text, word, value", [
+    ("isequal(1, 1)", "true", True), ("isequal(1, 2)", "false", False),
+])
+def test_cli_eval_prints_an_isequal_result(capsys, text, word, value):
+    assert rt_main(["eval", text]) == 0
+    assert capsys.readouterr().out == f"{word}\n"
+    assert rt_main(["eval", text, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"value": value, "dims": [], "indices": []}
+
+
+def test_cli_rejects_a_define_that_is_not_an_assignment(capsys):
+    assert rt_main(["eval", "1", "--define", "a+1"]) == 1
+    assert capsys.readouterr().err == "error: malformed --define 'a+1', expected name=expr\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["-isequal(1,1)"],
     ["-isequal(1,1)", "--seed", "2", "--define", "a=ones(1)"],

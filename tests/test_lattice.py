@@ -50,7 +50,7 @@ def assert_tensors_match(got, want_entries, want_indices, rtol=0.0):
 
 def test_align2_reduced_mixed_pattern():
     i, r, t = fresh_many(3)
-    plan = align2([i, ~r], [r, t, i])
+    plan = align2(with_indices(1, [i, ~r]), with_indices(1, [r, t, i]))
     assert [h.id for h in plan.inner_ids] == [r.id]
     assert [h.id for h in plan.page_ids] == [i.id]
     assert plan.left_outer_ids == ()
@@ -59,7 +59,7 @@ def test_align2_reduced_mixed_pattern():
 
 def test_align2_all_outer():
     i, j = fresh_many(2)
-    plan = align2([i], [j])
+    plan = align2(with_indices(1, [i]), with_indices(1, [j]))
     assert plan.inner_ids == () and plan.page_ids == ()
     assert [h.id for h in plan.left_outer_ids] == [i.id]
     assert [h.id for h in plan.right_outer_ids] == [j.id]
@@ -67,14 +67,14 @@ def test_align2_all_outer():
 
 def test_align2_equal_variants_are_pages():
     k = fresh()
-    plan = align2([k], [k])
+    plan = align2(with_indices(1, [k]), with_indices(1, [k]))
     assert plan.page_ids == (k,)
     assert plan.inner_ids == ()
 
 
 def test_align2_result_order_and_page_variant():
     i, r, t = fresh_many(3)
-    plan = align2([~i, ~r], [r, t, ~i])
+    plan = align2(with_indices(1, [~i, ~r]), with_indices(1, [r, t, ~i]))
     # pages take the left operand's variant
     assert plan.result_indices == (t, ~i)
     with pytest.raises(AttributeError):  # derived from the groups, never stored
@@ -97,7 +97,7 @@ def test_pagewise_matrix_maps_unchanged():
     k = fresh()
     arr = np.random.rand(100, 100, 10)
     t = with_indices(arr, [k])
-    plan = align2([k], [k])
+    plan = align2(t, t)
     lat = t.fold(lattice_groups(plan, "left"))
     assert lat.shape == (100, 100, 10)
     np.testing.assert_array_equal(lat, arr)
@@ -106,7 +106,7 @@ def test_pagewise_matrix_maps_unchanged():
 def test_lattice_roundtrip_identity():
     i, j, k = fresh_many(3)
     t = with_indices(np.random.rand(2, 3, 4, 5, 6), [i, j, k])
-    plan = align2([i, j, k], [~j, k])
+    plan = align2(with_indices(1, [i, j, k]), with_indices(1, [~j, k]))
     for side in ("left", "right"):
         use = t if side == "left" else with_indices(np.random.rand(2, 3, 5, 6), [~j, k])
         groups = lattice_groups(plan, side)
@@ -123,7 +123,7 @@ def test_degree_two_scalar_lattice_shape():
     p, q = fresh_many(2)
     m, n = 3, 4
     t = with_indices(np.random.rand(1, 1, m, n), [p, q])
-    plan = align2([p, q], [~q])  # q inner, p left-outer
+    plan = align2(with_indices(1, [p, q]), with_indices(1, [~q]))  # q inner, p left-outer
     lat = t.fold(lattice_groups(plan, "left"))
     assert lat.shape == (m, n, 1)
 

@@ -1,3 +1,4 @@
+import copy
 import itertools
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rtensor import Tensor, assign, fresh, fresh_many, from_array, product, with_indices
+from rtensor.dsl import Environment
 from rtensor.errors import (
     BoundsError,
     DimMismatchError,
@@ -449,3 +451,16 @@ def test_trace_of_product_matches_reindex_contraction():
     direct = sum(a[0, 0, v, v] * b[0, 0, v, v] for v in range(4))
     np.testing.assert_allclose(prod.entries.ravel()[0], direct, rtol=1e-13)
     assert page_trace(prod).entries.ravel()[0] == prod.entries.ravel()[0]
+
+
+def test_a_tensor_keeps_its_attributes_and_is_its_own_copy():
+    t = with_indices(np.arange(2.0).reshape(1, 1, 2), [fresh()])
+    for name in ("entries", "indices"):
+        with pytest.raises(AttributeError, match="Tensor is immutable"):
+            delattr(t, name)
+    np.testing.assert_array_equal(t.entries, [[[0.0, 1.0]]])
+    assert copy.copy(t) is t
+    assert copy.deepcopy(t) is t
+    env = Environment()
+    env.tensors["a"] = t
+    assert copy.deepcopy(env).tensors["a"] is t
