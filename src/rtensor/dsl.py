@@ -32,8 +32,8 @@ import numpy as np
 
 from . import ewise, lattice, pagewise
 from .errors import (
-    BoundsError, DataFileError, EngineError, ExprSyntaxError, IndexArityError, SubscriptKindError,
-    UnknownNameError,
+    BoundsError, DataFileError, EngineError, ExprSyntaxError, IndexArityError, NestingError,
+    SubscriptKindError, UnknownNameError,
 )
 from .indices import IndexHandle, fresh
 from .tensor import _MAX_DEGREE, Tensor, _operand, assign, from_array
@@ -49,102 +49,118 @@ __all__ = [
 
 # -- tokens ------------------------------------------------------------------
 
+# no two groups before the catch-all ``bad`` can match at one place, so
+# their order only sets how soon a match is found: the commonest first
 _TOKEN = re.compile(
-    r"(?P<newline>\n)"
-    r"|(?P<skip>[ \t\r]+|#[^\n]*)"
+    r"(?P<name>[^\W\d]\w*)"
+    r"|(?P<op>[=~<>]=|[-+*/\\<>=&|~'(),;:\[\]]|\.[*/\\^'])"
     r"|(?P<num>(?:\d|\.\d)[\d.]*(?:[eE][+-]?\d*)?)"
-    r"|(?P<name>[^\W\d]\w*)"
-    r"|(?P<op>\.[*/\\^']|[=~<>]=|[-+*/\\<>=&|~'(),;:\[\]])"
+    r"|(?P<skip>[ \t\r]+|#[^\n]*)"
+    r"|(?P<newline>\n)"
     r"|(?P<bad>.)"
 )
+# the token kind of each group of _TOKEN, by group number; None for a match
+# that makes no token
+_KIND = (None, "name", "op", "num", None, None, None)
+_NEWLINE, _BAD = _TOKEN.groupindex["newline"], _TOKEN.groupindex["bad"]
 
 
-class _Tok(NamedTuple):
-    kind: str  # 'name' | 'num' | 'op' | 'end'
-    text: str
-    line: int
-    col: int
-
-
-def _lex(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
+def _lex(text: str) -> list[tuple]:
+    """The tokens of ``text``: tuples (kind, text, line, column), where kind
+    is 'name', 'num' or 'op', and 'end' for the last token."""
+    toks = []
+    append = toks.append
     line, line_start = 1, 0
     for m in _TOKEN.finditer(text):
-        kind, col = m.lastgroup, m.start() - line_start + 1
-        if kind == "newline":
+        group = m.lastindex
+        kind = _KIND[group]
+        if kind is not None:
+            append((kind, m[0], line, m.start() - line_start + 1))
+        elif group == _NEWLINE:
             line, line_start = line + 1, m.end()
-        elif kind == "bad":
-            raise ExprSyntaxError(f"unexpected character {m.group()!r}", line, col)
-        elif kind != "skip":
-            toks.append(_Tok(kind, m.group(), line, col))
-    toks.append(_Tok("end", "", line, len(text) - line_start + 1))
+        elif group == _BAD:
+            raise ExprSyntaxError(f"unexpected character {m[0]!r}", line, m.start() - line_start + 1)
+    append(("end", "", line, len(text) - line_start + 1))
     return toks
 
 
+def _error_at(message: str, tok: tuple) -> ExprSyntaxError:
+    return ExprSyntaxError(message, tok[2], tok[3])
+
+
 # -- syntax tree ---------------------------------------------------------------
+# Nodes are named tuples: immutable, hashable, and printed as
+# ``Binary(op='+', lhs=..., rhs=...)``.  Two nodes are equal when they are of
+# the same class and their fields are equal; a node never equals a plain tuple.
 
 
-@dataclass(frozen=True)
-class IndexSub:
+class IndexSub(NamedTuple):
     name: str
     complemented: bool = False
 
 
-@dataclass(frozen=True)
-class NumSub:
+class NumSub(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class ColonSub:
+class ColonSub(NamedTuple):
     pass
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class TensorRef:
+class TensorRef(NamedTuple):
     name: str
     subs: tuple | None = None
 
 
-@dataclass(frozen=True)
-class Unary:
+class Unary(NamedTuple):
     op: str  # 'neg' | 'pos' | 'not'
     operand: Any
 
 
-@dataclass(frozen=True)
-class Postfix:
+class Postfix(NamedTuple):
     op: str  # "'" | ".'"
     operand: Any
 
 
-@dataclass(frozen=True)
-class Binary:
+class Binary(NamedTuple):
     op: str
     lhs: Any
     rhs: Any
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     fn: str
     args: tuple
 
 
-@dataclass(frozen=True)
-class Bracket:
+class Bracket(NamedTuple):
     rows: tuple  # tuple of tuples of expressions
 
 
-@dataclass(frozen=True)
-class Assign:
+class Assign(NamedTuple):
     target: TensorRef
     value: Any
+
+
+def _node_eq(self, other):
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+def _node_ne(self, other):
+    return type(other) is not type(self) or tuple.__ne__(self, other)
+
+
+for _cls in (IndexSub, NumSub, ColonSub, Num, TensorRef, Unary, Postfix, Binary, Call, Bracket, Assign):
+    _cls.__eq__, _cls.__ne__ = _node_eq, _node_ne
+
+# ``_node(Binary, (op, lhs, rhs))`` is ``Binary(op, lhs, rhs)`` without the
+# named tuple's Python-level ``__new__``, at half the cost; the parser builds
+# every node with it
+_node = tuple.__new__
 
 
 # every function of the language, with the fewest and the most arguments it
@@ -166,120 +182,135 @@ _PREFIX = {"-": "neg", "+": "pos", "~": "not"}
 
 
 class _Parser:
-    def __init__(self, toks: list[_Tok]):
+    """Recursive descent over the token list; ``pos`` is the next token's
+    place.  The methods that run for every operand read ``toks[pos]``
+    directly, (kind, text, line, column) by position."""
+
+    def __init__(self, toks: list[tuple]):
         self.toks = toks
         self.pos = 0
 
-    def peek(self) -> _Tok:
+    def peek(self) -> tuple:
         return self.toks[self.pos]
 
-    def next(self) -> _Tok:
+    def next(self) -> tuple:
         t = self.toks[self.pos]
         self.pos += 1
         return t
 
-    def expect(self, text: str) -> _Tok:
+    def expect(self, text: str) -> tuple:
         t = self.next()
-        if t.text != text:
-            raise ExprSyntaxError(f"expected {text!r}, found {t.text!r}", t.line, t.col)
+        if t[1] != text:
+            raise _error_at(f"expected {text!r}, found {t[1]!r}", t)
         return t
 
     def fail(self, msg: str):
-        t = self.peek()
-        raise ExprSyntaxError(msg, t.line, t.col)
+        raise _error_at(msg, self.peek())
 
     # statement := 'assert' expr | lhs '=' expr | expr
     def statement(self):
-        if self.peek().kind == "name" and self.peek().text == "assert":
+        if self.peek()[:2] == ("name", "assert"):
             self.next()
             return ("assert", self.expr())
         node = self.expr()
-        if self.peek().text == "=":
+        if self.peek()[1] == "=":
             if not isinstance(node, TensorRef):
                 self.fail("assignment target must be a tensor reference")
             self.next()
-            return ("assign", Assign(node, self.expr()))
+            return ("assign", _node(Assign, (node, self.expr())))
         return ("expr", node)
 
     def expr(self, level: int = 1):
         """An operand followed by every binary operator of precedence at least
         ``level``; each right operand only takes operators that bind tighter."""
         node = self.prefix()
-        while _PREC.get(self.peek().text, 0) >= level:
-            op = self.next().text
-            node = Binary(op, node, self.expr(_PREC[op] + 1))
-        return node
+        toks = self.toks
+        while True:
+            op = toks[self.pos][1]
+            prec = _PREC.get(op, 0)
+            if prec < level:
+                return node
+            self.pos += 1
+            node = _node(Binary, (op, node, self.expr(prec + 1)))
 
     def prefix(self):
-        op = _PREFIX.get(self.peek().text)
+        op = _PREFIX.get(self.toks[self.pos][1])
         if op is None:
             return self.postfix()
-        self.next()
-        return Unary(op, self.prefix())
+        self.pos += 1
+        return _node(Unary, (op, self.prefix()))
 
     def postfix(self):
         node = self.primary()
-        while self.peek().text in ("'", ".'"):
-            node = Postfix(self.next().text, node)
+        toks = self.toks
+        while (op := toks[self.pos][1]) == "'" or op == ".'":
+            self.pos += 1
+            node = _node(Postfix, (op, node))
         return node
 
     def primary(self):
-        t = self.peek()
-        if t.kind == "num":
-            return Num(self.number())
-        if t.text == "(":
-            self.next()
+        toks = self.toks
+        kind, text = toks[self.pos][:2]
+        if kind == "name":
+            self.pos += 1
+            if toks[self.pos][1] != "(":
+                return _node(TensorRef, (text, None))
+            if text in _FUNCTIONS:  # cat's first argument is a subscript
+                first = self.sub_item if text == "cat" else self.expr
+                return _node(Call, (text, self.arglist(first, self.expr)))
+            return _node(TensorRef, (text, self.arglist(self.sub_item, self.sub_item)))
+        if kind == "num":
+            return _node(Num, (self.number(),))
+        if text == "(":
+            self.pos += 1
             node = self.expr()
             self.expect(")")
             return node
-        if t.text == "[":
+        if text == "[":
             return self.bracket()
-        if t.kind == "name":
-            self.next()
-            if self.peek().text == "(":
-                if t.text in _FUNCTIONS:  # cat's first argument is a subscript
-                    first = self.sub_item if t.text == "cat" else self.expr
-                    return Call(t.text, self.arglist(first, self.expr))
-                return TensorRef(t.text, self.arglist(self.sub_item, self.sub_item))
-            return TensorRef(t.text, None)
-        self.fail(f"unexpected token {t.text!r}")
+        self.fail(f"unexpected token {text!r}")
 
     def number(self) -> float:
         t = self.next()
         try:
-            value = float(t.text)
+            value = float(t[1])
         except ValueError:
-            raise ExprSyntaxError(f"malformed number {t.text!r}", t.line, t.col) from None
+            raise _error_at(f"malformed number {t[1]!r}", t) from None
         if not math.isfinite(value):
-            raise ExprSyntaxError(f"number {t.text!r} is too large", t.line, t.col)
+            raise _error_at(f"number {t[1]!r} is too large", t)
         return value
 
     def arglist(self, first, rest) -> tuple:
-        """'(' first (',' rest)* ')'"""
-        self.expect("(")
+        """'(' first (',' rest)* ')', where the caller has seen the '('."""
+        toks = self.toks
+        self.pos += 1
         items = [first()]
-        while self.peek().text == ",":
-            self.next()
+        while toks[self.pos][1] == ",":
+            self.pos += 1
             items.append(rest())
-        self.expect(")")
+        t = toks[self.pos]
+        self.pos += 1
+        if t[1] != ")":
+            raise _error_at(f"expected ')', found {t[1]!r}", t)
         return tuple(items)
 
     def sub_item(self):
-        t = self.peek()
-        if t.text == ":":
-            self.next()
-            return ColonSub()
-        if t.text == "~":
-            self.next()
-            name = self.next()
-            if name.kind != "name":
-                raise ExprSyntaxError("expected an index name after '~'", name.line, name.col)
-            return IndexSub(name.text, True)
-        if t.kind == "name":
-            self.next()
-            return IndexSub(t.text, False)
-        if t.kind == "num":
-            return NumSub(self.number())
+        toks = self.toks
+        kind, text = toks[self.pos][:2]
+        if kind == "name":
+            self.pos += 1
+            return _node(IndexSub, (text, False))
+        if text == "~":
+            name = toks[self.pos + 1]
+            self.pos += 2
+            if name[0] != "name":
+                raise _error_at("expected an index name after '~'", name)
+            return _node(IndexSub, (name[1], True))
+        if text == ":":
+            self.pos += 1
+            return _node(ColonSub, ())
+        if kind == "num":
+            return _node(NumSub, (self.number(),))
         self.fail("subscripts must be index names, numbers, or ':'")
 
     def bracket(self) -> Bracket:
@@ -289,32 +320,36 @@ class _Parser:
         rows: list[list] = [[]]
         while True:
             t = self.peek()
-            if t.kind == "end":
-                raise ExprSyntaxError("unterminated bracket", start.line, start.col)
-            if t.text == "]":
+            if t[0] == "end":
+                raise _error_at("unterminated bracket", start)
+            if t[1] == "]":
                 self.next()
                 break
-            if t.text == ";":
+            if t[1] == ";":
                 self.next()
                 rows.append([])
                 continue
             rows[-1].append(self.expr())
         if all(not r for r in rows):
-            raise ExprSyntaxError("empty brackets", start.line, start.col)
-        return Bracket(tuple(tuple(r) for r in rows if r))
+            raise _error_at("empty brackets", start)
+        return _node(Bracket, (tuple(tuple(r) for r in rows if r),))
 
 
 def parse(text: str):
-    """Parse one statement; returns ('expr'|'assign'|'assert', node)."""
+    """Parse one statement; returns ('expr'|'assign'|'assert', node).
+
+    Text that nests deeper than the interpreter's recursion limit allows
+    raises ``ExprSyntaxError`` at the token the parser had reached."""
     p = _Parser(_lex(text))
-    kind, node = p.statement()
-    if p.peek().text == ";":
+    try:
+        kind, node = p.statement()
+    except RecursionError:
+        raise _error_at("expression nests too deeply", p.toks[min(p.pos, len(p.toks) - 1)]) from None
+    if p.peek()[1] == ";":
         p.next()
     trailing = p.peek()
-    if trailing.kind != "end":
-        raise ExprSyntaxError(
-            f"unexpected trailing token {trailing.text!r}", trailing.line, trailing.col
-        )
+    if trailing[0] != "end":
+        raise _error_at(f"unexpected trailing token {trailing[1]!r}", trailing)
     return kind, node
 
 
@@ -324,8 +359,13 @@ _PREFIX_MARK = {op: mark for mark, op in _PREFIX.items()}
 
 
 def print_ast(node) -> str:
-    """Render a parsed expression back to source text."""
-    return _fmt(node, 0)
+    """Render a parsed expression back to source text; a tree that nests
+    deeper than the interpreter's recursion limit allows raises
+    ``NestingError``."""
+    try:
+        return _fmt(node, 0)
+    except RecursionError:
+        raise NestingError("expression nests too deeply to print") from None
 
 
 def _fmt(node, outer: int) -> str:
@@ -388,17 +428,29 @@ def _num_text(v: float) -> str:
 
 @dataclass
 class Environment:
-    """Named tensors, session-scoped index names, and the random source."""
+    """Named tensors, session-scoped index names, and the random source.
+
+    The random source is ``np.random.default_rng(seed)``, built on the first
+    ``rand``, so a session that never draws never loads ``numpy.random``."""
 
     tensors: dict[str, Tensor] = field(default_factory=dict)
     index_table: dict[str, IndexHandle] = field(default_factory=dict)
-    rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
+    seed: int = 0
+    _rng: Any = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise BoundsError(f"seed must be non-negative, got {self.seed}")
 
     @classmethod
     def with_seed(cls, seed: int) -> "Environment":
-        if seed < 0:
-            raise BoundsError(f"seed must be non-negative, got {seed}")
-        return cls(rng=np.random.default_rng(seed))
+        return cls(seed=seed)
+
+    @property
+    def rng(self):
+        if self._rng is None:
+            self._rng = np.random.default_rng(self.seed)
+        return self._rng
 
     def index(self, name: str) -> IndexHandle:
         h = self.index_table.get(name)
@@ -428,59 +480,68 @@ def _handle(sub: IndexSub, env: Environment) -> IndexHandle:
     return ~h if sub.complemented else h
 
 
+_INDEX_SUBS = {IndexSub}
 # function names, looked up per call, so a rebound ``lattice.product`` takes effect
 _LATTICE_OPS = {"*": "product", "\\": "solve_left", "/": "solve_right"}
 _EWISE_NAMES = {"&": "and", "|": "or"}  # every other operator is its own ewise name
 
 
 def evaluate(node, env: Environment):
-    """Evaluate a parsed expression against an environment."""
-    if isinstance(node, Num):
-        return _operand(node.value)
-    if isinstance(node, TensorRef):
-        if node.name not in env.tensors:
-            raise UnknownNameError(f"unknown name {node.name!r}")
-        t = env.tensors[node.name]
-        if node.subs is None:
-            return t
-        if all(isinstance(s, IndexSub) for s in node.subs):
-            return t.reindex([_handle(s, env) for s in node.subs])
-        if any(isinstance(s, IndexSub) for s in node.subs):
-            raise SubscriptKindError("subscripts mix index names with numbers")
-        subs = [":" if isinstance(s, ColonSub) else _integer(s, "a numeric subscript")
-                for s in node.subs]
-        return _fresh_tensor(t.slice(subs))
-    if isinstance(node, Unary):
-        val = evaluate(node.operand, env)
-        return val if node.op == "pos" else ewise.ewise_unary(node.op, val)
-    if isinstance(node, Postfix):
-        val = evaluate(node.operand, env)
-        if node.op == "'":
-            return pagewise.page_ctranspose(val)
-        return pagewise.page_transpose(val)
-    if isinstance(node, Binary):
-        lhs = evaluate(node.lhs, env)
-        rhs = evaluate(node.rhs, env)
-        if node.op in _LATTICE_OPS:
-            return getattr(lattice, _LATTICE_OPS[node.op])(lhs, rhs)
-        return ewise.ewise_binary(_EWISE_NAMES.get(node.op, node.op), lhs, rhs)
-    if isinstance(node, Call):
-        return _call(node, env)
-    if isinstance(node, Bracket):
-        return pagewise.concat(
-            0, [pagewise.concat(1, [evaluate(item, env) for item in row]) for row in node.rows])
-    if isinstance(node, Assign):
-        value = evaluate(node.value, env)
-        target = node.target
-        if target.subs is None:
-            env.tensors[target.name] = _operand(value)
-            return env.tensors[target.name]
-        if not all(isinstance(s, IndexSub) for s in target.subs):
-            raise SubscriptKindError("assignment subscripts must be index names")
-        handles = [_handle(s, env) for s in target.subs]
-        result = assign(handles, _operand(value))
-        env.tensors[target.name] = result
-        return result
+    """Evaluate a parsed expression against an environment.
+
+    A tree that nests deeper than the interpreter's recursion limit allows
+    raises ``NestingError``: the innermost call that meets the limit raises
+    it, and the calls around it pass it on."""
+    try:
+        if isinstance(node, TensorRef):
+            t = env.tensors.get(node.name)
+            if t is None:
+                raise UnknownNameError(f"unknown name {node.name!r}")
+            if node.subs is None:
+                return t
+            kinds = set(map(type, node.subs))
+            if kinds <= _INDEX_SUBS:
+                return t.reindex([_handle(s, env) for s in node.subs])
+            if IndexSub in kinds:
+                raise SubscriptKindError("subscripts mix index names with numbers")
+            subs = [":" if isinstance(s, ColonSub) else _integer(s, "a numeric subscript")
+                    for s in node.subs]
+            return _fresh_tensor(t.slice(subs))
+        if isinstance(node, Binary):
+            lhs = evaluate(node.lhs, env)
+            rhs = evaluate(node.rhs, env)
+            if node.op in _LATTICE_OPS:
+                return getattr(lattice, _LATTICE_OPS[node.op])(lhs, rhs)
+            return ewise.ewise_binary(_EWISE_NAMES.get(node.op, node.op), lhs, rhs)
+        if isinstance(node, Num):
+            return _operand(node.value)
+        if isinstance(node, Unary):
+            val = evaluate(node.operand, env)
+            return val if node.op == "pos" else ewise.ewise_unary(node.op, val)
+        if isinstance(node, Postfix):
+            val = evaluate(node.operand, env)
+            if node.op == "'":
+                return pagewise.page_ctranspose(val)
+            return pagewise.page_transpose(val)
+        if isinstance(node, Call):
+            return _call(node, env)
+        if isinstance(node, Bracket):
+            return pagewise.concat(
+                0, [pagewise.concat(1, [evaluate(item, env) for item in row]) for row in node.rows])
+        if isinstance(node, Assign):
+            value = evaluate(node.value, env)
+            target = node.target
+            if target.subs is None:
+                env.tensors[target.name] = _operand(value)
+                return env.tensors[target.name]
+            if not all(isinstance(s, IndexSub) for s in target.subs):
+                raise SubscriptKindError("assignment subscripts must be index names")
+            handles = [_handle(s, env) for s in target.subs]
+            result = assign(handles, _operand(value))
+            env.tensors[target.name] = result
+            return result
+    except RecursionError:
+        raise NestingError("expression nests too deeply to evaluate") from None
     raise TypeError(f"cannot evaluate {node!r}")
 
 

@@ -82,3 +82,8 @@ class ExprSyntaxError(EngineError):
         super().__init__(f"{message} (at {line}:{col})")
         self.line = line
         self.col = col
+
+
+class NestingError(EngineError):
+    """An expression nests deeper than the interpreter's recursion limit
+    lets the language evaluate or print it."""

@@ -7,6 +7,8 @@ standing in for absent identities; rows and columns broadcast like any other
 size-1 dimension, which realizes implicit with-unit outer products.  After the
 entrywise kernel runs, identities that appeared in both variants are summed
 away, mirroring the generic binary pipeline even for additions and relations.
+A product ``.*`` multiplies and sums in one ``np.einsum`` instead, without
+building the union.
 """
 
 from __future__ import annotations
@@ -97,6 +99,10 @@ def ewise_binary(op: str, a, b) -> Tensor:
             )
     if op in _ARITH:
         xa, xb = (x.astype(_arithmetic(x.dtype), copy=False) for x in (xa, xb))
+        if op == ".*" and plan.contract_ids:
+            result = _multiply_contract(xa, xb, plan)
+            if result is not None:
+                return result
         with _ieee():
             out = _ARITH[op](xa, xb)
     elif op in _RELATION:
@@ -112,6 +118,28 @@ def ewise_binary(op: str, a, b) -> Tensor:
     if plan.contract_ids:
         result = result.sum(plan.contract_ids)
     return result
+
+
+# np.einsum names at most 52 axes; the kept axes pass through "..."
+_EINSUM_LABELS = 52
+
+
+def _multiply_contract(xa: np.ndarray, xb: np.ndarray, plan: AlignmentPlanN) -> Tensor | None:
+    """``xa .* xb`` summed over ``plan.contract_ids`` as one ``np.einsum``
+    over the aligned operands, so the union of the two is never built; size-1
+    axes broadcast.  None where one einsum cannot give the union's result:
+    beyond einsum's 52 labels, or where a contracted identity has size 1 in
+    one operand only, since einsum then factors that entry out of the sum and
+    inf times a zero entry no longer gives NaN."""
+    summed = {h.id for h in plan.contract_ids}
+    kept = [0, 1] + [t for t, h in enumerate(plan.union_indices, 2) if h.id not in summed]
+    tied = [t for t, h in enumerate(plan.union_indices, 2) if h.id in summed]
+    if len(tied) > _EINSUM_LABELS or any(xa.shape[t] != xb.shape[t] for t in tied):
+        return None
+    order, labels = kept + tied, [..., *range(len(tied))]
+    with _ieee():
+        out = np.einsum(xa.transpose(order), labels, xb.transpose(order), labels, [...])
+    return Tensor._wrap(out, [h for h in plan.union_indices if h.id not in summed])
 
 
 _UNARY = {

@@ -96,9 +96,22 @@ _SLAB_BYTES = 64 * 1024
 
 def _seal(t: "Tensor", arr: np.ndarray, indices: tuple) -> None:
     entries = arr.view()  # a new view, so the flag below is ours
-    entries.setflags(write=False)
+    entries.setflags(False)  # write=False, by position: a keyword costs twice as much
     object.__setattr__(t, "entries", entries)
     object.__setattr__(t, "indices", indices)
+
+
+def _bind(t: "Tensor", arr: np.ndarray, indices) -> None:
+    """Seal ``t`` with entries ``arr``, already of a tensor element kind, and
+    ``indices``, after the checks of the public constructor: every index is
+    an ``IndexHandle``, and every axis past the ones they address has size 1."""
+    idx = tuple(indices)
+    for h in idx:
+        if not isinstance(h, IndexHandle):
+            raise SubscriptKindError("tensor indices must be IndexHandle values")
+    if arr.ndim > 2 + len(idx) and any(n != 1 for n in arr.shape[2 + len(idx):]):
+        raise IndexArityError(f"{len(idx)} indices cannot address an array shaped {arr.shape}")
+    _seal(t, _fit(arr, len(idx)), idx)
 
 
 class Tensor:
@@ -120,14 +133,7 @@ class Tensor:
     __slots__ = ("entries", "indices")
 
     def __init__(self, entries, indices: Sequence[IndexHandle] = ()):
-        arr = _entries(entries)
-        idx = tuple(indices)
-        if any(not isinstance(h, IndexHandle) for h in idx):
-            raise SubscriptKindError("tensor indices must be IndexHandle values")
-        if any(n != 1 for n in arr.shape[2 + len(idx):]):
-            raise IndexArityError(
-                f"{len(idx)} indices cannot address an array shaped {arr.shape}")
-        _seal(self, _fit(arr, len(idx)), idx)
+        _bind(self, _entries(entries), indices)
 
     @classmethod
     def _wrap(cls, entries: np.ndarray, indices) -> "Tensor":
@@ -152,6 +158,10 @@ class Tensor:
 
     def __deepcopy__(self, memo) -> "Tensor":
         return self
+
+    def __reduce_ex__(self, protocol):
+        raise TypeError("cannot pickle a Tensor: its index identities are process-local, "
+                        "so another process could not tell them apart from its own")
 
     # -- structure ---------------------------------------------------------
 
@@ -243,9 +253,13 @@ class Tensor:
 
         Prior indices are ignored; the subscripts redefine the index list
         outright, after which repeated identities are attracted and, when they
-        mix variants, contracted.
+        mix variants, contracted.  The subscripts are checked as
+        ``Tensor(self.entries, subs)`` checks them; the entries, already of a
+        tensor element kind, are not coerced again.
         """
-        return Tensor(self.entries, subs).simplify()
+        t = object.__new__(Tensor)
+        _bind(t, self.entries, subs)
+        return t.simplify()
 
     def slice(self, subs: Sequence) -> np.ndarray:
         """Numeric subscripting, 1-based, delegated to the stored array.
@@ -297,9 +311,9 @@ class Tensor:
     def simplify(self) -> "Tensor":
         """Attract every repeated identity and contract the groups that mixed
         variants, in one ``np.einsum``."""
-        ids = [h.id for h in self.indices]
-        if len(set(ids)) == len(ids):
+        if len({h.id for h in self.indices}) == len(self.indices):
             return self
+        ids = [h.id for h in self.indices]
         axes: dict[int, list[int]] = {}  # identity -> its axes, in first-occurrence order
         for t, i in enumerate(ids, 2):
             axes.setdefault(i, []).append(t)

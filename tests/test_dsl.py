@@ -694,3 +694,102 @@ def test_a_fractional_integer_literal_is_rejected(text):
     with pytest.raises(SubscriptKindError, match="must be an integer literal"):
         evaluate(parse(text)[1], env)
     assert evaluate(parse("a(2.0)")[1], env).entries.ravel().tolist() == [2.0]
+
+
+# -- syntax tree nodes ----------------------------------------------------------
+
+_NODE_TYPES = (Assign, Binary, Bracket, Call, ColonSub, IndexSub, Num, NumSub, Postfix, TensorRef, Unary)
+
+
+def _nodes(value):
+    """Every node in ``value``, a node or a tuple of them, outermost first."""
+    if isinstance(value, _NODE_TYPES):
+        yield value
+        for name in type(value).__annotations__:
+            yield from _nodes(getattr(value, name))
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _nodes(item)
+
+
+def test_syntax_tree_nodes_are_immutable_hashable_values():
+    text = "u(i,~l) = -A(l,lp)\\b(i,lp)' + [1 x(:,2).'; cat(i, x(:,1), 2.5)] & ~m(i)"
+    node, again = parse(text)[1], parse(text)[1]
+    assert node == again and node is not again
+    assert hash(node) == hash(again) and len({node, again}) == 1
+    nodes = list(_nodes(node))
+    assert {type(n) for n in nodes} == set(_NODE_TYPES)
+    for n in nodes:
+        for name in [*type(n).__annotations__, "extra"]:
+            with pytest.raises(AttributeError):
+                setattr(n, name, None)
+    assert parse(text.replace("2.5", "3.5"))[1] != node
+    # equal fields in another class, or in a plain tuple, make a different value
+    assert Num(2.0) != NumSub(2.0) and not Num(2.0) == NumSub(2.0)
+    assert Call("abs", (Num(1.0),)) != TensorRef("abs", (Num(1.0),))
+    assert IndexSub("i", True) != ("i", True) and ColonSub() != ()
+
+
+# -- nesting beyond the recursion limit ------------------------------------------
+
+_DEEP = {
+    "parentheses": "(" * 2000 + "a" + ")" * 2000,
+    "prefix": "-" * 5000 + "a",
+    "postfix": "a" + "'" * 5000,
+    "sum": "+".join(["a"] * 5000),
+}
+
+
+@pytest.mark.parametrize("name", ["parentheses", "prefix"])
+def test_text_nested_too_deeply_to_parse_raises_a_syntax_error(name):
+    with pytest.raises(ExprSyntaxError, match=r"^expression nests too deeply \(at 1:\d+\)$"):
+        parse(_DEEP[name])
+
+
+@pytest.mark.parametrize("name", ["postfix", "sum"])
+def test_a_tree_nested_too_deeply_to_evaluate_or_print_raises_a_typed_error(name):
+    from rtensor.errors import NestingError
+
+    kind, node = parse(_DEEP[name])
+    with pytest.raises(NestingError, match="^expression nests too deeply to evaluate$"):
+        evaluate(node, env_with_vectors())
+    with pytest.raises(NestingError, match="^expression nests too deeply to print$"):
+        print_ast(node)
+
+
+@pytest.mark.parametrize("name", sorted(_DEEP))
+def test_rt_reports_deep_input_on_an_error_line(tmp_path, name):
+    script = tmp_path / "deep.rts"
+    script.write_text(f"a = ones(2)\n{_DEEP[name]}\n")
+    for argv, stream in ((["eval", "--define", "a=ones(2)", "--", _DEEP[name]], "stderr"),
+                         (["run", str(script)], "stdout")):
+        out = subprocess.run([sys.executable, "-m", "rtensor.cli", *argv], capture_output=True, text=True)
+        assert out.returncode == 1
+        assert "Traceback" not in out.stderr
+        assert "error: expression nests too deeply" in getattr(out, stream)
+
+
+# -- the random source --------------------------------------------------------------
+
+
+def test_rt_eval_without_rand_leaves_numpy_random_unloaded():
+    code = ("import sys; from rtensor.cli import main; main(['eval', '1+1']); "
+            "print('numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0 and out.stdout.split()[-1] == "False"
+
+
+@pytest.mark.parametrize("seed, first", [
+    (0, ["0x1.461fd79fb3850p-1", "0x1.1442f7e20b674p-2", "0x1.4fa7b529d9bd0p-5"]),
+    (7, ["0x1.400c8353e3ca9p-1", "0x1.cb5f9b795e4cdp-1", "0x1.8d26acbf2815fp-1"]),
+])
+def test_rand_draws_from_a_generator_seeded_as_before(seed, first):
+    env = Environment.with_seed(seed)
+    draws = [evaluate(parse(text)[1], env).entries for text in ("rand(1,1,3)", "rand(2,3)")]
+    assert [float(v).hex() for v in draws[0].ravel()] == first
+    rng = np.random.default_rng(seed)
+    np.testing.assert_array_equal(draws[0], rng.uniform(size=(1, 1, 3)))
+    np.testing.assert_array_equal(draws[1], rng.uniform(size=(2, 3)))
+    if seed == 0:
+        default = evaluate(parse("rand(1,1,3)")[1], Environment())
+        assert [float(v).hex() for v in default.entries.ravel()] == first

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -204,6 +207,42 @@ def test_mixed_variant_times_contracts_to_dot():
     got = ewise_binary(".*", x, y)
     assert got.degree == 0
     assert got.entries.ravel()[0] == 32.0
+
+
+def test_entrywise_product_contraction_allocates_only_its_result():
+    # one einsum over the aligned views: the 64x64x64 union is never built
+    i, j, k = fresh_many(3)
+    rng = np.random.default_rng(9)
+    a = with_indices(rng.standard_normal((1, 1, 64, 64)), [i, j])
+    b = with_indices(rng.standard_normal((1, 1, 64, 64)), [~j, k])
+    tracemalloc.start()
+    try:
+        got = ewise_binary(".*", a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.indices == (i, k)
+    np.testing.assert_allclose(got.entries[0, 0], a.entries[0, 0] @ b.entries[0, 0], rtol=1e-12)
+    assert peak <= 1.5 * got.entries.nbytes
+
+
+def test_entrywise_product_contraction_broadcasts_casts_booleans_and_stays_silent():
+    # b's two rows meet a's one; inf times a's false entry gives NaN, silently
+    i, j = fresh_many(2)
+    a = with_indices(np.array([True, False, True]).reshape(1, 1, 3, 1), [i, j])
+    b = with_indices(np.array([1.0, np.inf, 2.0, 3.0, 0.5, 1.0]).reshape(2, 1, 3, 1), [~i, j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ewise_binary(".*", a, b)
+    assert got.indices == (j,) and got.entries.dtype == np.float64
+    np.testing.assert_array_equal(got.entries.ravel(), [np.nan, 4.0])
+    # a contracted identity of size 1 in one operand broadcasts too
+    c = with_indices(np.array([1j, 2.0]).reshape(1, 1, 2), [~j])
+    np.testing.assert_array_equal(ewise_binary(".*", a, c).entries.ravel(), [2 + 1j, 0, 2 + 1j])
+    d = with_indices(np.full((1, 1, 1), np.inf), [~i])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(ewise_binary(".*", a, d).entries.ravel(), [np.nan])
 
 
 def test_mixed_variant_addition_contracts_after_add():

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -464,3 +465,67 @@ def test_a_tensor_keeps_its_attributes_and_is_its_own_copy():
     env = Environment()
     env.tensors["a"] = t
     assert copy.deepcopy(env).tensors["a"] is t
+
+
+def test_pickling_a_tensor_fails_at_once():
+    # a payload would hold index identities another process has given out again
+    t = with_indices(np.arange(2.0).reshape(1, 1, 2), [fresh()])
+    env = Environment()
+    env.tensors["a"] = t
+    for value in (t, env):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            with pytest.raises(TypeError, match="index identities are process-local"):
+                pickle.dumps(value, protocol)
+    assert copy.copy(t) is t
+    assert copy.deepcopy(t) is t
+    assert copy.deepcopy(env).tensors["a"] is t
+
+
+# -- reindex binds as the public constructor does -------------------------------
+
+_REINDEX_KINDS = ("bool", "real", "complex")
+
+
+def _outcome(call):
+    """The tensor ``call`` returns, or the type of the error it raises."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(_REINDEX_KINDS),
+    matrix=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    dims=st.lists(st.integers(0, 3), max_size=4),
+    subs=st.lists(st.tuples(st.integers(0, 3), st.booleans()), max_size=6),
+    junk=st.sampled_from([None, 0, ":", "i"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reindex_is_the_public_constructor_then_simplify(kind, matrix, dims, subs, junk, seed):
+    """Drawn over the three element kinds, size-0 and size-1 dimensions,
+    identities repeated in either variant, fewer or more subscripts than the
+    degree, and a subscript that is no index handle."""
+    rng = np.random.default_rng(seed)
+    shape = matrix + tuple(dims)
+    arr = rng.integers(-3, 4, shape)
+    if kind == "bool":
+        arr = arr > 0
+    elif kind == "complex":
+        arr = arr + 1j * rng.integers(-3, 4, shape)
+    t = from_array(arr)[0]
+    pool = fresh_many(4)
+    handles = [pool[n] if variant else ~pool[n] for n, variant in subs]
+    if junk is not None:
+        handles.insert(int(rng.integers(len(handles) + 1)), junk)
+    got = _outcome(lambda: t.reindex(handles))
+    want = _outcome(lambda: Tensor(t.entries, handles).simplify())
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert isinstance(got, Tensor)
+    assert got.indices == want.indices
+    assert got.entries.dtype == want.entries.dtype and got.entries.shape == want.entries.shape
+    assert got.entries.tobytes() == want.entries.tobytes()
+    assert got.entries.flags.writeable is want.entries.flags.writeable is False
