@@ -47,13 +47,17 @@ def _cmd_run(args, env) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads an argument that starts with one minus as a positional unless it
-    is exactly one of the parser's options, so ``rt eval "-isequal(1,1)"``
-    takes the statement; ``--`` options parse as argparse parses them."""
+    """Reads an argument that starts with a minus as a positional unless it
+    is one of the parser's options, so ``rt eval "-isequal(1,1)"`` and
+    ``rt eval "--a"`` take the statement.  An argument that starts with two
+    is an option also when it abbreviates one, alone or as ``--name=value``,
+    and then parses as argparse parses it."""
 
     def _parse_optional(self, arg_string):
-        if arg_string[:1] == "-" and arg_string[:2] != "--" and arg_string not in self._option_string_actions:
-            return None
+        if arg_string[:1] == "-" and arg_string not in self._option_string_actions:
+            name = arg_string.partition("=")[0]
+            if arg_string[:2] != "--" or not any(o.startswith(name) for o in self._option_string_actions):
+                return None
         return super()._parse_optional(arg_string)
 
 

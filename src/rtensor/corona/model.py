@@ -12,6 +12,14 @@ each way, and an odd last page is transformed alone.  An
 Re(conj(Yt) o Ye), so ``state.at`` moves to another phase without
 transforming the image again, and a Hessian-multiply transforms only its
 increments.
+
+Two identities cut the transforms and trigonometry further.  With
+u = Im ifft2(Yt o D), Parseval gives the curvature along one page as
+D'HD = 2 * sum(w o u^2) - (2/MN) * sum(Re(conj(Yt) o Ye) o D^2), so the
+solver's CG learns it from the inverse transform alone (``_page_product``).
+And exp(i*phi) is built from t = tan(phi/2) as
+((1 - t^2) + 2it) / (1 + t^2), one trigonometric call where cos and sin are
+two; it agrees with them to 2.2e-16.
 """
 
 from __future__ import annotations
@@ -86,9 +94,17 @@ class AberrationState:
 
 def _evaluate(phi, spectrum, wb, want_gradient) -> AberrationState:
     """The one model evaluation, on checked planes and the image's spectrum."""
-    yt = np.empty(phi.shape, np.complex128)  # exp(i*phi), without the complex exponential
-    np.cos(phi, out=yt.real)
-    np.sin(phi, out=yt.imag)
+    # exp(i*phi) from t = tan(phi/2): cos = (1 - t^2)/(1 + t^2), sin = 2t/(1 + t^2)
+    yt = np.empty(phi.shape, np.complex128)
+    t = np.multiply(phi, 0.5)
+    np.tan(t, out=t)
+    q = t * t
+    d = q + 1.0
+    np.subtract(1.0, q, out=q)
+    np.divide(q, d, out=yt.real)
+    t *= 2.0
+    np.divide(t, d, out=yt.imag)
+    del t, q, d
     yt *= spectrum
     xt = ifft2(yt).real.copy()
     w = _deviant(xt, wb)
@@ -165,7 +181,7 @@ def _hess_kernel(yt, w, curvature, dphi):
     Im(conj(yt) o G_a) = Im(Q) / 2 and Im(conj(yt) o G_b) = -Re(Q) / 2.  Page
     a is one of the first P // 2 pages, b the page P // 2 after it; the pairs
     are batched pages-first, which numpy transforms faster than pages-last.
-    An odd last page is transformed alone.
+    An odd last page is transformed alone, by ``_page_product``.
     """
     dphi = _real("steps", dphi)
     if dphi.ndim == 2:
@@ -176,12 +192,13 @@ def _hess_kernel(yt, w, curvature, dphi):
     m, n, pages = dphi.shape
     h = pages // 2
     if pages % 2:  # before f is allocated, so that f is not held through these transforms
-        g = fft2(w[:, :, None] * ifft2(yt[:, :, None] * dphi[:, :, 2 * h:]).imag)
-    f = curvature[:, :, None] * dphi
+        lone = _page_product(yt, w, curvature, dphi[:, :, 2 * h])[1]()
+    f = np.empty((m, n, pages))
     if pages % 2:
-        f[:, :, 2 * h:] += np.imag(np.conj(yt)[:, :, None] * g)
-        del g
+        f[:, :, 2 * h] = lone
+        del lone
     if h:
+        np.multiply(curvature[:, :, None], dphi[:, :, :2 * h], out=f[:, :, :2 * h])
         e = np.empty((h, m, n), np.complex128)
         e.real = np.moveaxis(dphi[:, :, h:2 * h], 2, 0)
         np.negative(np.moveaxis(dphi[:, :, :h], 2, 0), out=e.imag)
@@ -201,5 +218,35 @@ def _hess_kernel(yt, w, curvature, dphi):
         del q
         f[:, :, :h] += 0.25 * np.moveaxis(t.imag, 0, 2)
         f[:, :, h:2 * h] -= 0.25 * np.moveaxis(t.real, 0, 2)
-    f *= -2.0 / mn
+        f[:, :, :2 * h] *= -2.0 / mn
     return f.reshape(mn, pages)
+
+
+def _page_product(yt, w, curvature, d):
+    """The Hessian along one M x N page ``d``: its curvature now, its product on request.
+
+    Returns ``(d'Hd, finish)``, where ``finish()`` returns the product Hd as an
+    M x N plane.  With u = Im ifft2(yt o d), Parseval turns the transformed
+    term of d'Hd, -(2/MN) * sum(d o Im(conj(yt) o fft2(w o u))), into
+    2 * sum(w o u^2), so d'Hd = 2 * sum(w o u^2) - (2/MN) * sum(curvature o d^2)
+    costs the inverse transform alone; ``finish`` pays the forward one.  Until
+    it is called, ``finish`` holds two real planes, w o u and curvature o d,
+    and it spends them, so it is called at most once.
+    """
+    d = _real("steps", d)
+    mn = w.size
+    u = ifft2(yt * d).imag
+    wu = w * u
+    f = curvature * d
+    dhd = 2.0 * float(wu.ravel() @ u.ravel()) - 2.0 / mn * float(f.ravel() @ d.ravel())
+    del u
+
+    def finish():
+        nonlocal wu
+        g, wu = fft2(wu), None  # w o u is spent, and freed before the products below
+        g *= np.conj(yt)
+        np.add(f, g.imag, out=f)
+        np.multiply(f, -2.0 / mn, out=f)
+        return f
+
+    return dhd, finish

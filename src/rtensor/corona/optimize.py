@@ -1,9 +1,13 @@
 """Trust-region Newton-CG minimization of the image-plane SSE.
 
 The inner subproblem is solved by Steihaug's truncated conjugate gradient,
-with Hessian-vector products supplied by the Hessian-multiply function at the
-current iterate, so no Hessian is ever formed.  CG also carries the Hessian
-applied to its step, so the predicted reduction costs no extra multiply.
+with Hessian-vector products taken at the current iterate, so no Hessian is
+ever formed.  A product comes in two parts: the curvature d'Hd, which costs
+one inverse transform (``model._page_product``), and the vector Hd, which
+costs a forward one more and is completed only when CG steps inside the
+trust region.  A step that ends on the boundary, as most do, needs only the
+curvature.  CG carries H applied to its iterate, so the predicted reduction
+costs no extra multiply.
 Accepted steps strictly decrease the SSE; the trajectory of accepted values is
 therefore nonincreasing.  A non-finite reduction ratio shrinks the radius like
 a poor one, so the solver cannot repeat a rejected step forever.
@@ -14,7 +18,8 @@ square root of the Hessian's diagonal, floored, CG works on ``s o g`` and
 ``s o H(s o v)`` and the step is ``s o`` its result, so the trust region
 bounds the step in the scaled norm ``|step / s|``.  ``s`` is recomputed at
 the start and at each accepted point from the model state and one ``fft2``
-of its deviant mask.  The diagonal is exact on the odd phases,
+of its deviant mask, a quarter-size one when M and N are even.  The diagonal
+is exact on the odd phases,
 phi(-k) = -phi(k).  The solve starts there, at zero, and leaves as rounding
 grows an even part; that departure is what lets criterion 9's scene converge.
 """
@@ -29,7 +34,7 @@ import numpy as np
 
 from ..errors import BoundsError
 from .fourier import fft2
-from .model import hess_mult_cached, state_at
+from .model import _page_product, state_at
 
 __all__ = ["TrustRegionOptions", "OptReport", "optimize"]
 
@@ -87,9 +92,13 @@ class OptReport:
 def _steihaug(grad, hv, radius, tol, max_iter):
     """Truncated CG on the quadratic model inside the trust region.
 
-    Returns ``(step, h_step, hit_boundary, iterations)``, where ``h_step`` is
-    the Hessian applied to ``step``, accumulated from the products CG already
-    makes.
+    ``hv(d)`` returns ``(d'Hd, finish)``, and ``finish()`` returns Hd.  The
+    curvature test, the step length and the boundary exit need only d'Hd, so
+    ``finish`` is called only when CG steps inside the region, and dropped
+    before the next product.  Returns ``(step, step_h_step, hit_boundary,
+    iterations)``, where ``step_h_step`` is step'H step.  It comes from the
+    H z that CG carries: for a step z + tau*d and H symmetric it is
+    z'Hz + 2*tau*d'Hz + tau^2*d'Hd.
     """
     z = np.zeros_like(grad)
     hz = np.zeros_like(grad)
@@ -97,27 +106,34 @@ def _steihaug(grad, hv, radius, tol, max_iter):
     d = -r
     rr = float(r.ravel() @ r.ravel())
     if np.sqrt(rr) <= tol:
-        return z, hz, False, 0
+        return z, 0.0, False, 0
     for k in range(1, max_iter + 1):
-        hd = hv(d)
-        dhd = float(d.ravel() @ hd.ravel())
+        dhd, finish = hv(d)
         if dhd <= 0:
-            tau = _to_boundary(z, d, radius)
-            return z + tau * d, hz + tau * hd, True, k
+            return (*_boundary_step(z, hz, d, dhd, radius), True, k)
         alpha = rr / dhd
         z_next = z + alpha * d
         if np.linalg.norm(z_next) >= radius:
-            tau = _to_boundary(z, d, radius)
-            return z + tau * d, hz + tau * hd, True, k
+            return (*_boundary_step(z, hz, d, dhd, radius), True, k)
+        hd = finish()
+        del finish  # it holds the product's buffers
         hz += alpha * hd
         r = r + alpha * hd
         rr_next = float(r.ravel() @ r.ravel())
         if np.sqrt(rr_next) <= tol:
-            return z_next, hz, False, k
+            return z_next, float(z_next.ravel() @ hz.ravel()), False, k
         d = -r + (rr_next / rr) * d
         z = z_next
         rr = rr_next
-    return z, hz, False, max_iter
+    return z, float(z.ravel() @ hz.ravel()), False, max_iter
+
+
+def _boundary_step(z, hz, d, dhd, radius):
+    """The step ``z + tau*d`` to the boundary, and its step'H step."""
+    tau = _to_boundary(z, d, radius)
+    zhz = float(z.ravel() @ hz.ravel())
+    dhz = float(d.ravel() @ hz.ravel())
+    return z + tau * d, zhz + 2.0 * tau * dhz + tau * tau * dhd
 
 
 def _to_boundary(z, d, radius):
@@ -135,13 +151,22 @@ def _jacobi_scaling(state, s):
     Hessian's exact curvature along ``e_k - e_-k`` per unit step,
     ``2*(f*|yt|^2 - Re(conj(yt)^2 o W2)/MN - curvature)/MN``, with ``f`` the
     deviant fraction ``mean(w)`` and ``W2`` the mask's DFT ``fft2(w)`` read
-    at twice the frequency, mod (M, N).  That one ``fft2`` is the scaling's
+    at twice the frequency, mod (M, N).  For even M,
+    W(2k) = sum_{r < M/2} (w_r + w_{r+M/2}) e^(-2 pi i k r / (M/2)): the
+    (M/2)-point DFT of the mask folded in half, with period M/2 in k; likewise
+    along N.  So for even M and N, ``W2`` is the (M/2) x (N/2) DFT of the mask
+    folded 2x2, tiled 2x2; otherwise it is ``fft2(w)`` gathered at
+    (2k mod M, 2l mod N).  That one ``fft2`` is the scaling's
     whole cost in transforms.  ``s`` is filled in place to keep the solve's peak.
     """
     (m, n), mn = s.shape, s.size
     c = np.conj(state.yt)
     c *= c
-    c *= fft2(state.w)[np.ix_(2 * np.arange(m) % m, 2 * np.arange(n) % n)]
+    if m % 2 or n % 2:
+        c *= fft2(state.w)[np.ix_(2 * np.arange(m) % m, 2 * np.arange(n) % n)]
+    else:  # W2 tiles the DFT of the mask folded 2x2, so c's four quadrants share it
+        half = fft2(state.w.reshape(2, m // 2, 2, n // 2).sum(axis=(0, 2)))
+        c.reshape(2, m // 2, 2, n // 2)[...] *= half[:, None, :]
     np.abs(state.yt, out=s)
     s *= s
     s *= np.count_nonzero(state.w)  # f*MN
@@ -174,9 +199,14 @@ def optimize(xa, wb, options: TrustRegionOptions | None = None) -> OptReport:
     _jacobi_scaling(state, s)
 
     def scaled_hv(v):
-        hv = hess_mult_cached(state, s * v)[:, 0].reshape(v.shape)
-        hv *= s
-        return hv
+        dhd, finish = _page_product(state.yt, state.w, state.curvature, s * v)
+
+        def scaled():
+            hv = finish()
+            hv *= s
+            return hv
+
+        return dhd, scaled
 
     while it < opts.max_iter:
         gn_inf = float(np.abs(state.grad).max())
@@ -189,13 +219,13 @@ def optimize(xa, wb, options: TrustRegionOptions | None = None) -> OptReport:
         g = s * state.grad
         gn2 = float(np.linalg.norm(g))
         tol = min(_CG_FORCING, np.sqrt(gn2)) * gn2
-        step, hs, boundary, k = _steihaug(g, scaled_hv, radius, tol, _CG_MAX_ITER)
+        step, shs, boundary, k = _steihaug(g, scaled_hv, radius, tol, _CG_MAX_ITER)
         cg_iters.append(k)
         if not np.any(step):
             stop = "no_step"
             break
-        pred = -(float(g.ravel() @ step.ravel()) + 0.5 * float(step.ravel() @ hs.ravel()))
-        del g, hs  # the trial evaluation below sets the solve's memory peak
+        pred = -(float(g.ravel() @ step.ravel()) + 0.5 * shs)
+        del g  # the trial evaluation below sets the solve's memory peak
         step *= s
         step += state.phi
         trial = state.at(step)  # its phase is this buffer

@@ -22,7 +22,7 @@ from rtensor.corona import (
     hess_mult_cached,
 )
 from rtensor.errors import BoundsError, DimMismatchError, SpecError
-from rtensor.corona.model import _rev
+from rtensor.corona.model import _evaluate, _page_product, _rev
 from rtensor.corona.optimize import _DIAG_FLOOR, _jacobi_scaling, _steihaug
 
 from oracles import azimuthal_profile, count_local_minima, rt_model
@@ -284,6 +284,22 @@ def test_each_page_of_a_product_is_its_own_product(size, pages, seed):
         assert np.abs(f[:, k] - one[:, 0]).max() <= 1e-12 * np.abs(f).max()
 
 
+@given(
+    size=st.sampled_from([(5, 5), (7, 7), (11, 13), (4, 6), (9, 4), (3, 8), (13, 7)]),  # odd, prime, non-square
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_one_inverse_transform_gives_the_curvature_along_a_page(size, seed):
+    m, n = size
+    state, rng = _uniform_state(m, n, seed)
+    d = rng.standard_normal((m, n))
+    want = hess_mult_cached(state, d)[:, 0]
+    dhd, finish = _page_product(state.yt, state.w, state.curvature, d)
+    # relative to |d| |Hd|, which bounds d'Hd; d'Hd itself can cancel to near zero
+    assert abs(dhd - d.ravel() @ want) <= 1e-12 * np.linalg.norm(d) * np.linalg.norm(want)
+    np.testing.assert_allclose(finish().ravel(), want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+
 @pytest.mark.parametrize("pages", [1, 2, 3, 4, 5])
 def test_a_product_transforms_each_pair_of_pages_once(monkeypatch, pages):
     model_module = sys.modules[state_at.__module__]
@@ -378,6 +394,19 @@ def test_state_at_another_phase_checks_it():
         state.at(phi[:, :7])
 
 
+def test_the_phase_factor_matches_cos_and_sin():
+    rng = np.random.default_rng(21)
+    special = [np.pi, -np.pi, np.pi / 2, -np.pi / 2, 3 * np.pi, 0.0, -0.0, 5e-324]
+    phi = np.concatenate([rng.uniform(-b, b, 25000) for b in (np.pi, 1e3, 1e8, 1e15)] + [special])
+    phi = phi.reshape(-1, 8)
+    yt = _evaluate(phi, np.ones(phi.shape, np.complex128), np.zeros(phi.shape, bool), False).yt
+    assert np.abs(yt.real - np.cos(phi)).max() <= np.finfo(float).eps
+    assert np.abs(yt.imag - np.sin(phi)).max() <= np.finfo(float).eps
+    exact = [0, 1, 5, 6]  # +-pi and +-0
+    np.testing.assert_array_equal(yt[-1, exact].real, np.cos(phi[-1, exact]))
+    np.testing.assert_array_equal(yt[-1, exact].imag, np.sin(phi[-1, exact]))
+
+
 # -- optimizer ----------------------------------------------------------------------
 
 
@@ -463,21 +492,38 @@ def test_solve_transforms_the_image_once(monkeypatch):
         for name in calls:
             if hasattr(module, name):
                 counted(module, name)
+    optimize_module = sys.modules[_steihaug.__module__]
+    page_product = optimize_module._page_product
+    completed = []
+
+    def counted_product(*args):
+        dhd, finish = page_product(*args)
+
+        def counted_finish():
+            completed.append(1)
+            return finish()
+
+        return dhd, counted_finish
+
+    monkeypatch.setattr(optimize_module, "_page_product", counted_product)
     inst = make_instance(SceneConfig(size=32, seed=9))
-    report = optimize(inst.aberrated, inst.mask, TrustRegionOptions(max_iter=15))
+    report = optimize(inst.aberrated, inst.mask, TrustRegionOptions(max_iter=25))
     evaluations = 1 + report.iterations  # the start and one trial per iteration
     products = sum(report.cg_iterations)  # one Hessian-vector product per CG iteration
     scalings = len(report.sse_trajectory)  # one transform of the mask at the start and each accepted point
-    assert report.iterations == 15 and products > 0
-    assert calls["fft2"] == 1 + evaluations + scalings + products
+    # only a product CG steps inside the region with pays the forward transform
+    assert report.iterations == 25 and 0 < len(completed) < products
+    assert calls["fft2"] == 1 + evaluations + scalings + len(completed)
     assert calls["ifft2"] == evaluations + products
 
 
-def test_jacobi_scaling_is_the_exact_curvature_of_the_odd_subspace():
+@pytest.mark.parametrize("m, n", [(16, 16), (15, 15), (16, 15), (15, 16)])  # the 2x2 fold, and the gather
+def test_jacobi_scaling_is_the_exact_curvature_of_the_odd_subspace(m, n):
     inst = make_instance(SceneConfig(size=16, seed=2))
-    phi = optimize(inst.aberrated, inst.mask, TrustRegionOptions(max_iter=3)).phi
+    xa, wb = inst.aberrated[:m, :n], inst.mask[:m, :n]
+    phi = optimize(xa, wb, TrustRegionOptions(max_iter=3)).phi
     phi = 0.5 * (phi - _rev(phi))  # drop the rounding drift out of the odd subspace
-    state = state_at(phi, inst.aberrated, inst.mask)
+    state = state_at(phi, xa, wb)
     s = np.empty(phi.shape)
     _jacobi_scaling(state, s)
     mn = phi.size
@@ -564,15 +610,22 @@ def _spd(n, seed, shift):
 def _run_steihaug(h, g, radius, tol=1e-12):
     """Steihaug on ``h``, also returning the curvature ``d.Hd`` of each CG direction."""
     curvatures = []
+    completed = []
 
     def hv(d):
-        hd = h @ d
-        curvatures.append(float(d @ hd))
-        return hd
+        curvatures.append(float(d @ h @ d))
 
-    step, h_step, boundary, k = _steihaug(g, hv, radius, tol, 100)
-    want = h @ step
-    assert np.abs(h_step - want).max() <= 1e-10 * np.abs(want).max()
+        def finish():
+            completed.append(1)
+            return h @ d
+
+        return curvatures[-1], finish
+
+    step, step_h_step, boundary, k = _steihaug(g, hv, radius, tol, 100)
+    want = step @ h @ step
+    assert abs(step_h_step - want) <= 1e-10 * abs(want)
+    # a boundary or negative-curvature exit needs only the last product's curvature
+    assert len(completed) == (k - 1 if boundary else k)
     return step, boundary, k, curvatures
 
 

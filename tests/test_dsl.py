@@ -481,6 +481,24 @@ def test_cli_eval_json_before_a_statement_that_starts_with_a_minus(capsys):
     assert json.loads(capsys.readouterr().out)["dims"] == [1, 1]
 
 
+@pytest.mark.parametrize("text, value", [("--a", [[[1, 1]]]), ("--a+1", [[[2, 2]]])])
+def test_cli_eval_takes_a_statement_that_starts_with_two_minuses(capsys, text, value):
+    assert rt_main(["eval", "--json", "--define", "a=ones(2)", text]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == value
+
+
+def _rand2(capsys, *argv):
+    assert rt_main(["eval", "--json", *argv, "rand(2)"]) == 0
+    return json.loads(capsys.readouterr().out)["value"]
+
+
+@pytest.mark.parametrize("argv", [["--seed=3"], ["--se", "3"], ["--se=3"]])
+def test_cli_eval_reads_an_option_given_with_its_value_or_abbreviated(capsys, argv):
+    want = _rand2(capsys, "--seed", "3")
+    assert _rand2(capsys) != want  # the seed shows in the draw
+    assert _rand2(capsys, *argv) == want
+
+
 @pytest.mark.parametrize("text, dims", [
     ("G(k) * E(k)", [1, 1, 0]),
     ("G(k) .* E(k)", [1, 1, 0]),
